@@ -3,8 +3,16 @@
     Stand-in for the XGBoost model the paper uses (§4.4): gradient
     boosting over depth-limited exact-greedy regression trees, with two
     objectives — squared-loss regression ([fit]) and a LambdaRank-style
-    pairwise rank loss ([fit_rank]). Training sets during tuning are small
-    (hundreds of samples), so exact split enumeration is cheap. *)
+    pairwise rank loss ([fit_rank]).
+
+    Cost: each fit sorts every feature column once (O(features × n log n));
+    each tree then costs O(features × n) per level, since a node scans its
+    members in the presorted order and a split stably partitions them.
+    [fit_rank] adds one [exp] per within-group pair per round. The trees
+    are bit-identical to a per-node stable sort of the node's samples:
+    same member order (value, then ascending sample index), same
+    summation order for sums and leaf means, same tie rule (the earliest
+    feature and threshold of maximal gain wins). *)
 
 type tree = Leaf of float | Node of { feat : int; thresh : float; left : tree; right : tree }
 
@@ -37,67 +45,139 @@ let predict_batch model (xs : float array array) : float array =
     model.trees;
   out
 
-let mean arr idx =
-  if idx = [] then 0.0
-  else
-    List.fold_left (fun acc i -> acc +. arr.(i)) 0.0 idx /. float_of_int (List.length idx)
+(* --- the tree builder ---------------------------------------------------
 
-(* Best split of [idx] on squared error; returns (feat, thresh, gain). *)
-let best_split (xs : float array array) (residual : float array) idx =
-  let n = List.length idx in
-  if n < 4 then None
-  else begin
-    let total = List.fold_left (fun acc i -> acc +. residual.(i)) 0.0 idx in
-    let best = ref None in
-    let nfeat = Array.length xs.(0) in
-    for f = 0 to nfeat - 1 do
-      let sorted =
-        List.sort (fun a b -> Float.compare xs.(a).(f) xs.(b).(f)) idx
-      in
-      let left_sum = ref 0.0 and left_n = ref 0 in
-      let rec go = function
-        | [] | [ _ ] -> ()
-        | i :: (j :: _ as rest) ->
-            left_sum := !left_sum +. residual.(i);
-            incr left_n;
-            if xs.(i).(f) < xs.(j).(f) then begin
-              let right_sum = total -. !left_sum in
-              let right_n = n - !left_n in
-              let gain =
-                (!left_sum *. !left_sum /. float_of_int !left_n)
-                +. (right_sum *. right_sum /. float_of_int right_n)
-                -. (total *. total /. float_of_int n)
-              in
-              let thresh = (xs.(i).(f) +. xs.(j).(f)) /. 2.0 in
-              match !best with
-              | Some (_, _, g) when g >= gain -> ()
-              | _ -> best := Some (f, thresh, gain)
-            end;
-            go rest
-      in
-      go sorted
+   Every boosting round fits one tree to new residuals over the {e same}
+   feature matrix, so the per-feature sample orders are computed once per
+   fit ([presort]) and each node scans its own members in that order. A
+   node owns a segment [lo, hi) of [rows] (its members, ascending sample
+   index) and the same segment of every [work.(f)] (its members sorted by
+   feature [f], ties by ascending index — the order a stable sort of the
+   ascending member list yields). A split stably partitions all of those
+   segments, so both children inherit the invariant. *)
+
+type builder = {
+  cols : float array array;  (** [cols.(f).(i)] = feature [f] of sample [i] *)
+  sorted : int array array;  (** per feature: sample indices, presorted *)
+  work : int array array;  (** per-tree copy of [sorted], partitioned per node *)
+  rows : int array;  (** node members in ascending sample index *)
+  tmp : int array;  (** partition scratch *)
+  goes_left : bool array;  (** per sample: takes the current split *)
+}
+
+let presort (xs : float array array) =
+  let n = Array.length xs in
+  let nfeat = Array.length xs.(0) in
+  let cols = Array.init nfeat (fun f -> Array.init n (fun i -> xs.(i).(f))) in
+  let sorted =
+    Array.map
+      (fun col ->
+        let order = Array.init n Fun.id in
+        Array.stable_sort (fun a b -> Float.compare col.(a) col.(b)) order;
+        order)
+      cols
+  in
+  {
+    cols;
+    sorted;
+    work = Array.map Array.copy sorted;
+    rows = Array.make n 0;
+    tmp = Array.make n 0;
+    goes_left = Array.make n false;
+  }
+
+(* Stable partition of [a.(lo..hi-1)] by [goes_left]: members taking the
+   split first, both halves keep their relative order. *)
+let partition b a lo hi =
+  let l = ref lo and r = ref 0 in
+  for k = lo to hi - 1 do
+    let i = a.(k) in
+    if b.goes_left.(i) then begin
+      a.(!l) <- i;
+      incr l
+    end
+    else begin
+      b.tmp.(!r) <- i;
+      incr r
+    end
+  done;
+  Array.blit b.tmp 0 a !l !r
+
+(* Fit one depth-limited tree to [residual] by exact greedy squared-error
+   splits. A node with fewer than 4 members, no split of gain >= 1e-9, or
+   a split that leaves one side empty becomes a leaf holding its mean
+   residual. Among equal gains the first candidate wins (features in
+   index order, thresholds in ascending order). *)
+let fit_tree b (residual : float array) depth =
+  let n = Array.length b.rows in
+  let nfeat = Array.length b.cols in
+  for i = 0 to n - 1 do
+    b.rows.(i) <- i
+  done;
+  Array.iteri (fun f s -> Array.blit s 0 b.work.(f) 0 n) b.sorted;
+  let rec build lo hi depth =
+    let count = hi - lo in
+    let total = ref 0.0 in
+    for k = lo to hi - 1 do
+      total := !total +. residual.(b.rows.(k))
     done;
-    !best
-  end
+    let total = !total in
+    let leaf () = Leaf (total /. float_of_int count) in
+    if depth = 0 || count < 4 then leaf ()
+    else begin
+      let best_feat = ref (-1) and best_thresh = ref 0.0 and best_gain = ref 0.0 in
+      let parent = total *. total /. float_of_int count in
+      for f = 0 to nfeat - 1 do
+        let col = b.cols.(f) and seg = b.work.(f) in
+        let left_sum = ref 0.0 in
+        for k = lo to hi - 2 do
+          let i = seg.(k) and j = seg.(k + 1) in
+          left_sum := !left_sum +. residual.(i);
+          if col.(i) < col.(j) then begin
+            let left_n = k - lo + 1 in
+            let right_sum = total -. !left_sum in
+            let right_n = count - left_n in
+            let gain =
+              (!left_sum *. !left_sum /. float_of_int left_n)
+              +. (right_sum *. right_sum /. float_of_int right_n)
+              -. parent
+            in
+            if !best_feat < 0 || not (!best_gain >= gain) then begin
+              best_feat := f;
+              best_thresh := (col.(i) +. col.(j)) /. 2.0;
+              best_gain := gain
+            end
+          end
+        done
+      done;
+      if !best_feat < 0 || !best_gain < 1e-9 then leaf ()
+      else begin
+        let feat = !best_feat and thresh = !best_thresh in
+        let col = b.cols.(feat) in
+        let n_left = ref 0 in
+        for k = lo to hi - 1 do
+          let i = b.rows.(k) in
+          let go = col.(i) <= thresh in
+          b.goes_left.(i) <- go;
+          if go then incr n_left
+        done;
+        if !n_left = 0 || !n_left = count then leaf ()
+        else begin
+          partition b b.rows lo hi;
+          Array.iter (fun seg -> partition b seg lo hi) b.work;
+          let mid = lo + !n_left in
+          let left = build lo mid (depth - 1) in
+          let right = build mid hi (depth - 1) in
+          Node { feat; thresh; left; right }
+        end
+      end
+    end
+  in
+  build 0 n depth
 
-let rec fit_tree xs residual idx depth =
-  if depth = 0 then Leaf (mean residual idx)
-  else
-    match best_split xs residual idx with
-    | None -> Leaf (mean residual idx)
-    | Some (feat, thresh, gain) ->
-        if gain < 1e-9 then Leaf (mean residual idx)
-        else
-          let left, right = List.partition (fun i -> xs.(i).(feat) <= thresh) idx in
-          if left = [] || right = [] then Leaf (mean residual idx)
-          else
-            Node
-              {
-                feat;
-                thresh;
-                left = fit_tree xs residual left (depth - 1);
-                right = fit_tree xs residual right (depth - 1);
-              }
+(* Add one round's tree to the running predictions. *)
+let advance pred xs eta tree =
+  Array.iteri (fun i p -> pred.(i) <- p +. (eta *. predict_tree tree xs.(i))) pred
 
 (** Fit [rounds] boosting rounds of depth-[depth] trees. *)
 let fit ?(rounds = 40) ?(depth = 3) ?(eta = 0.3) (xs : float array array)
@@ -107,16 +187,60 @@ let fit ?(rounds = 40) ?(depth = 3) ?(eta = 0.3) (xs : float array array)
   else begin
     let base = Array.fold_left ( +. ) 0.0 ys /. float_of_int n in
     let pred = Array.make n base in
-    let idx = List.init n (fun i -> i) in
+    let b = presort xs in
+    let residual = Array.make n 0.0 in
     let trees = ref [] in
     for _ = 1 to rounds do
-      let residual = Array.init n (fun i -> ys.(i) -. pred.(i)) in
-      let tree = fit_tree xs residual idx depth in
+      Array.iteri (fun i y -> residual.(i) <- y -. pred.(i)) ys;
+      let tree = fit_tree b residual depth in
       trees := tree :: !trees;
-      Array.iteri (fun i _ -> pred.(i) <- pred.(i) +. (eta *. predict_tree tree xs.(i))) pred
+      advance pred xs eta tree
     done;
     { trees = List.rev !trees; eta; base }
   end
+
+(* Ordered pairs [(hi, lo)] with [ys.(hi) > ys.(lo)] in one group, in flat
+   arrays. Within a group the members [m_0 < m_1 < ...] are paired in
+   reverse lexicographic order of [(m_a, m_b)], [a < b]: each sample
+   therefore meets its partners in one fixed order, which fixes the
+   summation order of its gradient. The count is the sum over groups of
+   [n_g (n_g - 1) / 2] at most — groups never pair across. *)
+type pairs = { hi : int array; lo : int array; w : float array; count : int }
+
+let rank_pairs n (ys : float array) (groups : int array) =
+  (* Members grouped into contiguous runs, ascending index within a run. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare groups.(a) groups.(b)) order;
+  let runs = ref [] and start = ref 0 in
+  for k = 1 to n do
+    if k = n || groups.(order.(k)) <> groups.(order.(!start)) then begin
+      runs := (!start, k) :: !runs;
+      start := k
+    end
+  done;
+  let cap =
+    List.fold_left (fun acc (s, e) -> acc + ((e - s) * (e - s - 1) / 2)) 0 !runs
+  in
+  let hi = Array.make cap 0 and lo = Array.make cap 0 and w = Array.make cap 0.0 in
+  let count = ref 0 in
+  List.iter
+    (fun (s, e) ->
+      for a = e - 1 downto s do
+        for b = e - 1 downto a + 1 do
+          let i = order.(a) and j = order.(b) in
+          if ys.(i) <> ys.(j) then begin
+            let h, l = if ys.(i) > ys.(j) then (i, j) else (j, i) in
+            hi.(!count) <- h;
+            lo.(!count) <- l;
+            w.(!count) <- ys.(h) -. ys.(l);
+            incr count
+          end
+        done
+      done)
+    !runs;
+  { hi; lo; w; count = !count }
+
+let rank_pair_count ys ~groups = (rank_pairs (Array.length ys) ys groups).count
 
 (** Fit a LambdaRank-style pairwise ranking ensemble.
 
@@ -135,41 +259,26 @@ let fit ?(rounds = 40) ?(depth = 3) ?(eta = 0.3) (xs : float array array)
 let fit_rank ?(rounds = 40) ?(depth = 3) ?(eta = 0.3)
     (xs : float array array) (ys : float array) ~(groups : int array) : t =
   let n = Array.length xs in
-  if n = 0 then { trees = []; eta; base = 0.0 }
+  let p = rank_pairs n ys groups in
+  if p.count = 0 then { trees = []; eta; base = 0.0 }
   else begin
-    (* Pairs are enumerated once: (winner, loser, label gap). *)
-    let pairs = ref [] in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        if groups.(i) = groups.(j) && ys.(i) <> ys.(j) then begin
-          let hi, lo = if ys.(i) > ys.(j) then (i, j) else (j, i) in
-          pairs := (hi, lo, ys.(hi) -. ys.(lo)) :: !pairs
-        end
-      done
-    done;
-    let pairs = !pairs in
-    if pairs = [] then { trees = []; eta; base = 0.0 }
-    else begin
-      let pred = Array.make n 0.0 in
-      let idx = List.init n (fun i -> i) in
-      let lambda = Array.make n 0.0 in
-      let trees = ref [] in
-      for _ = 1 to rounds do
-        Array.fill lambda 0 n 0.0;
-        List.iter
-          (fun (hi, lo, w) ->
-            let rho = 1.0 /. (1.0 +. exp (pred.(hi) -. pred.(lo))) in
-            lambda.(hi) <- lambda.(hi) +. (w *. rho);
-            lambda.(lo) <- lambda.(lo) -. (w *. rho))
-          pairs;
-        let tree = fit_tree xs lambda idx depth in
-        trees := tree :: !trees;
-        Array.iteri
-          (fun i _ -> pred.(i) <- pred.(i) +. (eta *. predict_tree tree xs.(i)))
-          pred
+    let pred = Array.make n 0.0 in
+    let lambda = Array.make n 0.0 in
+    let b = presort xs in
+    let trees = ref [] in
+    for _ = 1 to rounds do
+      Array.fill lambda 0 n 0.0;
+      for k = 0 to p.count - 1 do
+        let hi = p.hi.(k) and lo = p.lo.(k) and w = p.w.(k) in
+        let rho = 1.0 /. (1.0 +. exp (pred.(hi) -. pred.(lo))) in
+        lambda.(hi) <- lambda.(hi) +. (w *. rho);
+        lambda.(lo) <- lambda.(lo) -. (w *. rho)
       done;
-      { trees = List.rev !trees; eta; base = 0.0 }
-    end
+      let tree = fit_tree b lambda depth in
+      trees := tree :: !trees;
+      advance pred xs eta tree
+    done;
+    { trees = List.rev !trees; eta; base = 0.0 }
   end
 
 (* --- serialization ------------------------------------------------------ *)

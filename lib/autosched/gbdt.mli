@@ -1,7 +1,12 @@
 (** Gradient-boosted regression trees, from scratch: the stand-in for the
     paper's XGBoost cost model (§4.4). Depth-limited exact-greedy trees
     under either a squared loss ([fit]) or a LambdaRank-style pairwise
-    rank loss ([fit_rank]). *)
+    rank loss ([fit_rank]).
+
+    A fit presorts each feature column once, then grows every tree in
+    O(features × n) per level; the ensemble is bit-identical to exact
+    greedy splitting with a stable per-node sort (ties keep ascending
+    sample order, the earliest maximal-gain split wins). *)
 
 type tree
 
@@ -31,6 +36,13 @@ val fit_rank :
   float array ->
   groups:int array ->
   t
+
+(** The number of training pairs [fit_rank] enumerates for these labels
+    and groups: within-group pairs with distinct labels, so at most
+    [sum_g n_g (n_g - 1) / 2] over the group sizes [n_g] — never the
+    [n (n - 1) / 2] of all samples. Each boosting round costs one [exp]
+    per pair. *)
+val rank_pair_count : float array -> groups:int array -> int
 
 exception Parse_error of string
 

@@ -43,7 +43,12 @@ end
 
 (** The rank-trained GBDT (default): per-group throughput labels, signed
     log1p feature squashing, [Gbdt.fit_rank] pairwise training. A group's
-    sample count is capped (512); deterministic first-come retention. *)
+    sample count is capped (512); deterministic first-come retention.
+    Pairs never cross groups and are enumerated group by group, so a
+    retrain costs [sum_g n_g (n_g - 1) / 2] pair visits plus one [exp]
+    per pair per round: a warm-started [serve] model holding many stored
+    tasks pays for each task's own pairs, not for [n^2] over the whole
+    store. *)
 module Gbdt_rank : S
 
 (** The stateless analytic prior (prefer tensorized, high-occupancy

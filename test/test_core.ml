@@ -24,6 +24,7 @@ let () =
       ("intrin", Test_intrin.suite);
       ("autosched", Test_autosched.suite);
       ("model", Test_model.suite);
+      ("gbdt", Test_gbdt.suite);
       ("hotpath", Test_hotpath.suite);
       ("database", Test_database.suite);
       ("facade", Test_facade.suite);

@@ -20,12 +20,14 @@
        deterministic, so 5% relative slack only (shared rows by
        section:name:unit; rows present in one file only are skipped —
        BENCH_ONLY runs cover subsets);
+     - "ms" rows (the cost-model retrain_ms): wall-clock times, so the
+       same 2x band as the hotpath floors — at most twice the baseline;
      - "bool" rows (resume_identical, replay_identical, hotpath
        identical): must match the baseline exactly.
 
    --inject-regression degrades the current file's values after loading
-   (throughput x0.1, latencies x10) — the Makefile uses it to assert the
-   gate actually fails on a regression.
+   (throughput x0.1, latencies and times x10) — the Makefile uses it to
+   assert the gate actually fails on a regression.
 
    Exit 0 when nothing regressed, 1 with one line per regression, 2 on
    usage errors (including schema or fast-mode mismatch, which would make
@@ -123,7 +125,7 @@ let inject d =
     d_rows =
       List.map
         (fun (((_, _, unit_) as k), v) ->
-          (k, if String.equal unit_ "us" then v *. 10.0 else v))
+          (k, if String.equal unit_ "us" || String.equal unit_ "ms" then v *. 10.0 else v))
         d.d_rows;
   }
 
@@ -196,6 +198,11 @@ let () =
                   bad "%s: %.2f regressed over baseline %.2f (+%.1f%%)" what
                     cur_v base_v
                     (100.0 *. ((cur_v /. base_v) -. 1.0))
+            | "ms" ->
+                incr compared;
+                if cur_v > base_v *. 2.0 then
+                  bad "%s: %.3f ms more than twice the baseline %.3f ms" what
+                    cur_v base_v
             | "gflops" -> floor_rel what ~floor:(1.0 /. 1.05) cur_v base_v
             | "bool" ->
                 incr compared;
