@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-diff perf-smoke crash-smoke serve-smoke trace-smoke lint legality-smoke check clean
+.PHONY: all build test bench bench-smoke bench-diff perf-smoke crash-smoke serve-smoke trace-smoke journal-smoke lint legality-smoke check clean
 
 all: build
 
@@ -109,6 +109,27 @@ trace-smoke: build
 	  | grep -q "queue:"
 	rm -rf /tmp/tir_trace_smoke
 
+# Search-journal smoke test through the CLI: a traced tune exports a
+# journal that `report` renders with all 16 trials measured and a
+# monotone best-so-far curve; a session run halted after one generation
+# (exit 8) still leaves a journal that parses.
+journal-smoke: build
+	rm -f /tmp/tir_journal_smoke.jsonl /tmp/tir_journal_smoke_halt.jsonl \
+	  /tmp/tir_journal_smoke.wal
+	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
+	  --journal /tmp/tir_journal_smoke.jsonl
+	dune exec bin/tensorir_cli.exe -- report /tmp/tir_journal_smoke.jsonl \
+	  > /tmp/tir_journal_smoke.txt
+	grep -q 'measured 16 ' /tmp/tir_journal_smoke.txt
+	grep -q 'monotone: true' /tmp/tir_journal_smoke.txt
+	dune exec bin/tensorir_cli.exe -- tune GMM --trials 16 \
+	  --session /tmp/tir_journal_smoke.wal --halt-after 1 \
+	  --journal /tmp/tir_journal_smoke_halt.jsonl; test $$? -eq 8
+	dune exec bin/tensorir_cli.exe -- report /tmp/tir_journal_smoke_halt.jsonl \
+	  > /dev/null
+	rm -f /tmp/tir_journal_smoke.jsonl /tmp/tir_journal_smoke_halt.jsonl \
+	  /tmp/tir_journal_smoke.wal /tmp/tir_journal_smoke.txt
+
 # Semantic static analysis (data races, region soundness, bounds) over
 # every seed workload and the example scripts; non-zero exit on findings.
 lint: build
@@ -132,8 +153,8 @@ legality-smoke: build
 
 # The full pre-merge gate: build, unit + property tests, lint, bench smoke
 # run (+ the regression diff against the committed snapshot),
-# kill-and-resume smoke run, multi-tenant serve smoke run, and the
-# tracing/telemetry smoke run.
+# kill-and-resume smoke run, multi-tenant serve smoke run, the
+# tracing/telemetry smoke run, and the search-journal smoke run.
 check: build
 	dune runtest
 	$(MAKE) lint
@@ -143,6 +164,7 @@ check: build
 	$(MAKE) crash-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) journal-smoke
 
 clean:
 	dune clean

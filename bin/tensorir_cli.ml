@@ -131,12 +131,32 @@ let candidates_cmd =
 
 (* --- tune --- *)
 
+(* [tune --journal]: trace the run, then export the trace as a journal —
+   written atomically (tmp + rename) in [finally], so a run that stops on
+   [Halted] or an error still leaves one. *)
+let exporting_journal journal_path ~jobs f =
+  match journal_path with
+  | None -> f ()
+  | Some path ->
+      Tir_obs.Trace.enable ();
+      let jobs = Option.value jobs ~default:(Tir_parallel.Pool.default_jobs ()) in
+      let write events =
+        Jobqueue.write_file_atomic path
+          (String.concat "" (List.map (fun e -> Tir_obs.Journal.to_line e ^ "\n") events))
+      in
+      Fun.protect f ~finally:(fun () ->
+          match Result.map write (Tir_obs.Journal.of_trace ~jobs ()) with
+          | Ok () ->
+              Fmt.pr "journal written to %s (render with `tensorir report %s`)@." path
+                path
+          | Error e | (exception Error.Error e) ->
+              Fmt.epr "tensorir: journal not written: %s@." (Error.to_string e))
+
 let tune_cmd =
   let run tag target trials seed print_best db_path journal_path session_path
       resume halt_after jobs model_store =
     with_errors @@ fun () ->
     let database = Option.map load_database db_path in
-    let journal = Option.map Tir_obs.Journal.open_file journal_path in
     (* Warm-start from the model store when it exists; a fresh or corrupt
        store is a cold start, never an error. *)
     let model =
@@ -146,27 +166,23 @@ let tune_cmd =
       | Some None | None -> Tune.Config.default.Tune.Config.model
     in
     let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Tir_obs.Journal.close journal)
-        (fun () ->
+      exporting_journal journal_path ~jobs (fun () ->
           match session_path with
           | None ->
               let t, w = workload_for target tag in
               let cfg =
-                Tune.Config.
-                  { default with seed; trials; database; journal; jobs; model }
+                Tune.Config.{ default with seed; trials; database; jobs; model }
               in
               Tune.run cfg w t
           | Some path when resume ->
               (* Workload, target, seed, trial budget and model spec come
                  from the session log; the positional args are ignored. *)
-              let s = Session.resume ?jobs ?journal ?database ~path () in
+              let s = Session.resume ?jobs ?database ~path () in
               Session.run ?halt_after s
           | Some path ->
               let t, w = workload_for target tag in
               let cfg =
-                Tune.Config.
-                  { default with seed; trials; database; journal; jobs; model }
+                Tune.Config.{ default with seed; trials; database; jobs; model }
               in
               let s = Session.create ~path cfg w t in
               Session.run ?halt_after s)
@@ -181,9 +197,6 @@ let tune_cmd =
         ignore (Tir_autosched.Model.Store.absorb ~path m);
         Fmt.pr "model store updated: %s@." path
     | _ -> ());
-    Option.iter
-      (fun p -> Fmt.pr "journal written to %s (render with `tensorir report %s`)@." p p)
-      journal_path;
     Fmt.pr "workload: %s on %s@." w.W.name t.Tir_sim.Target.name;
     Fmt.pr "best latency: %.2f us (%.0f GFLOPS)@." (Tune.latency_us r) (Tune.gflops r);
     Fmt.pr "search: %d trials, %d proposed, %d invalid, %d unsound, %d inapplicable, %d unmeasurable@."
@@ -208,8 +221,11 @@ let tune_cmd =
   in
   let journal_arg =
     let doc =
-      "Write the run's search journal (JSONL events: generations, \
-       predicted-vs-measured pairs, spans, metrics) to $(docv)."
+      "Trace the run and export it as a search journal (JSONL events: \
+       generations, predicted-vs-measured pairs, spans, metrics) to \
+       $(docv), written when the run ends — also when it halts or fails, \
+       but not when the process is killed (the $(b,--session) log is the \
+       crash-durable record)."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in

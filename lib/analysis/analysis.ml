@@ -101,4 +101,4 @@ let certify (f : Primfunc.t) : Legality.verdict =
 (** [check_func] under an [analysis.lint] span — the entry point for the
     CLI and other interactive callers; the hot search path calls
     [errors] directly to keep the span list lean. *)
-let lint f = Tir_obs.Span.with_span "analysis.lint" (fun () -> check_func f)
+let lint f = Tir_obs.Trace.with_span "analysis.lint" (fun () -> check_func f)

@@ -71,40 +71,15 @@ let version_header = "# tensorir database v2"
 (* Percent-escape every character with structural meaning in the line
    format: '%' (the escape itself), '|' (field separator), '\n'/'\r' (record
    separator), ',' and '=' (decision-list separators). *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '|' | '\n' | '\r' | ',' | '=' ->
-          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape =
+  Tir_core.Percent.encode ~reserved:(function
+    | '|' | '\n' | '\r' | ',' | '=' -> true
+    | _ -> false)
 
 let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> failwith "bad escape in database field"
-  in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' then begin
-       if !i + 2 >= n then failwith "truncated escape in database field";
-       Buffer.add_char b (Char.chr ((hex s.[!i + 1] * 16) + hex s.[!i + 2]));
-       i := !i + 3
-     end
-     else begin
-       Buffer.add_char b s.[!i];
-       incr i
-     end)
-  done;
-  Buffer.contents b
+  match Tir_core.Percent.decode s with
+  | Some v -> v
+  | None -> failwith "bad escape in database field"
 
 let decisions_to_string (d : Space.decisions) =
   String.concat ","

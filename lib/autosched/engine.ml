@@ -5,12 +5,12 @@
     dedup table, cost model, cumulative stats, generation counter) and
     {!step} advances it by exactly one generation — proposal fan-out,
     evaluation, ranked measurement, cost-model retrain, and the
-    per-generation metrics/journal/checkpoint flush. [Evolutionary.search],
-    [Tune.run] and [Session.run] are thin drivers that loop [step];
+    per-generation metrics/trace/checkpoint flush. [Tune.run] and
+    [Session.run] are thin drivers that loop [step];
     schedulers that interleave many searches ([Tir_service.Scheduler])
     call [step] directly and get preemption at generation boundaries for
     free — a generation is the atomic unit of work, and everything a
-    generation writes (WAL records, metrics, journal events) is committed
+    generation writes (WAL records, metrics, trace events) is committed
     before [step] returns.
 
     Every determinism property of the monolithic loop is preserved:
@@ -22,7 +22,6 @@
 
 open Tir_ir
 module Pool = Tir_parallel.Pool
-module Journal = Tir_obs.Journal
 module Metrics = Tir_obs.Metrics
 
 type measured = {
@@ -110,7 +109,7 @@ let measurement_runs = 50.0
 (* Real tuners cap the per-candidate measurement time (min-repeat logic). *)
 let measurement_cap_us = 150_000.0
 
-(* Where a proposal came from — drives the journal's mutation-acceptance
+(* Where a proposal came from — drives the mutation-acceptance
    accounting. *)
 type origin = Seeded | Random | Mutation | Crossover
 
@@ -129,7 +128,13 @@ let m_unmeasurable = Metrics.counter "search.unmeasurable"
 let m_rank_corr = Metrics.gauge "costmodel.rank_corr"
 let m_memo_rate = Metrics.gauge "search.memo_hit_rate"
 
-(* Per-generation journal tallies, reset each round. *)
+(* The eval/measure memo tables' registry counters — find-or-create
+   hands back the cells [Memo] increments. *)
+let m_memo_hits = List.map Metrics.counter [ "memo.eval.hits"; "memo.measure.hits" ]
+let m_memo_misses = List.map Metrics.counter [ "memo.eval.misses"; "memo.measure.misses" ]
+let sum_counters = List.fold_left (fun acc c -> acc + Metrics.counter_value c) 0
+
+(* Per-generation tallies, reset each round. *)
 type gen_tally = {
   mutable g_proposed : int;
   mutable g_deduped : int;
@@ -137,7 +142,6 @@ type gen_tally = {
   mutable g_unsound : int;
   mutable g_inapplicable : int;
   mutable g_memo_hits : int;
-  mutable g_lookups : int;  (** memo probes this generation (hit-rate base) *)
   mutable g_measured : int;
   mutable g_unmeasurable : int;
   mutable g_mutations : int;
@@ -154,7 +158,6 @@ let new_gen_tally () =
     g_unsound = 0;
     g_inapplicable = 0;
     g_memo_hits = 0;
-    g_lookups = 0;
     g_measured = 0;
     g_unmeasurable = 0;
     g_mutations = 0;
@@ -169,7 +172,6 @@ type t = {
   use_cost_model : bool;
   evolve : bool;
   pool : Pool.t;
-  journal : Journal.sink option;
   retry : Tir_parallel.Retry.policy option;
   checkpoint : checkpoint option;
   seed : int;
@@ -343,7 +345,6 @@ let propose_all t specs =
     (List.map2
        (fun (sk, d, key, origin) (hit, ev) ->
          t.stats.cache_lookups <- t.stats.cache_lookups + 1;
-         g.g_lookups <- g.g_lookups + 1;
          if hit then begin
            t.stats.cache_hits <- t.stats.cache_hits + 1;
            g.g_memo_hits <- g.g_memo_hits + 1
@@ -367,7 +368,7 @@ let propose_all t specs =
        fresh evals)
 
 (* Measure a ranked batch across the pool (memoized), then feed the cost
-   model, the elite set, and the journal tallies in rank order.
+   model, the elite set, and the generation tallies in rank order.
 
    Measurement memo keys are program fingerprints (the simulator is a
    pure function of (target, program)), so one batch can contain the
@@ -421,7 +422,6 @@ let measure_top t scored =
         end
       in
       t.stats.cache_lookups <- t.stats.cache_lookups + 1;
-      g.g_lookups <- g.g_lookups + 1;
       if hit then begin
         t.stats.cache_hits <- t.stats.cache_hits + 1;
         g.g_memo_hits <- g.g_memo_hits + 1
@@ -466,18 +466,15 @@ let measure_top t scored =
     keyed
 
 (* Flush the per-generation tallies: registry counters, rank-correlation
-   gauge, journal events. Runs in the sequential reduce, so everything
-   here is deterministic at any job count. *)
+   and memo-rate gauges, trace events. Runs in the sequential reduce, so
+   everything here is deterministic at any job count. *)
 let finish_generation t =
   let tl = t.tally in
   let best_us = best_us t in
-  (* Per-generation correlation feeds the journal (the historical
-     schema); the registry gauge carries the cumulative figure over the
-     whole search, which is what actually says whether the model ranks
-     this task well — one measurement batch is too small a sample. *)
-  let gen_rank_corr = spearman_of_pairs tl.g_pairs in
+  (* The registry gauge carries the cumulative correlation over the whole
+     search, which is what says whether the model ranks this task well —
+     one measurement batch is too small a sample. *)
   t.pairs <- tl.g_pairs @ t.pairs;
-  let cum_rank_corr = spearman_of_pairs t.pairs in
   Metrics.add m_proposed tl.g_proposed;
   Metrics.add m_deduped tl.g_deduped;
   Metrics.add m_invalid tl.g_invalid;
@@ -489,79 +486,55 @@ let finish_generation t =
   Metrics.add m_accepted tl.g_accepted;
   Metrics.add m_unmeasurable tl.g_unmeasurable;
   Metrics.incr m_generations;
-  Metrics.set m_rank_corr cum_rank_corr;
-  let gen_hit_rate =
-    if tl.g_lookups = 0 then 0.0
-    else float_of_int tl.g_memo_hits /. float_of_int tl.g_lookups
-  in
-  (* The gauge carries the cumulative process-wide memo hit rate (from
-     the memo atomics — deterministic at any job count). It used to be
-     set to the per-generation rate, whose final write — the empty
-     exhausted/committing generation, zero probes — pinned the reported
-     value at 0.0 (the ROADMAP's "memo_hit_rate gauge reads 0" bug). The
-     per-generation rate still reaches the journal below. *)
-  (let s = Eval.cache_stats () in
-   let probes = s.Eval.hits + s.Eval.misses in
+  Metrics.set m_rank_corr (spearman_of_pairs t.pairs);
+  (* The cumulative memo hit rate, from the same registry counters the
+     snapshot reports — so it agrees with them, and restarts with
+     [Metrics.reset] rather than with [Eval.clear_caches]. *)
+  (let hits = sum_counters m_memo_hits in
+   let probes = hits + sum_counters m_memo_misses in
    if probes > 0 then
-     Metrics.set m_memo_rate (float_of_int s.Eval.hits /. float_of_int probes));
-  (match t.journal with
-  | None -> ()
-  | Some sink ->
-      List.iter
-        (fun (predicted, measured_us) ->
-          Journal.emit sink (Journal.Pair { gen = t.gen; predicted; measured_us }))
-        (List.rev tl.g_pairs);
-      Journal.emit sink
-        (Journal.Generation
-           {
-             gen = t.gen;
-             proposed = tl.g_proposed;
-             deduped = tl.g_deduped;
-             (* analyzer rejections fold into the journal's invalid
-                count: the schema predates the semantic analyzer *)
-             invalid = tl.g_invalid + tl.g_unsound;
-             inapplicable = tl.g_inapplicable;
-             memo_hits = tl.g_memo_hits;
-             measured = tl.g_measured;
-             mutations = tl.g_mutations;
-             crossovers = tl.g_crossovers;
-             accepted = tl.g_accepted;
-             best_us;
-             rank_corr = gen_rank_corr;
-           });
-      (* Per-generation memo hit rates: this generation's probes, then
-         each table's cumulative rate. Computed from the memo's atomic
-         hit/miss counters — deterministic at any job count (exactly one
-         miss per key), unlike the registry's pending-wait meters. *)
-      Journal.emit sink
-        (Journal.Gauge { name = "memo.gen.hit_rate"; value = gen_hit_rate });
-      List.iter
-        (fun (name, (s : Eval.cache_stats)) ->
-          let probes = s.Eval.hits + s.Eval.misses in
-          let rate =
-            if probes = 0 then 0.0
-            else float_of_int s.Eval.hits /. float_of_int probes
-          in
-          Journal.emit sink
-            (Journal.Gauge { name = "memo." ^ name ^ ".hit_rate"; value = rate }))
-        (Eval.cache_breakdown ()));
-  (* Trace the generation boundary: a deterministic instant (identity
-     carries the tallies) plus counter tracks for the Perfetto view.
-     Runs in the sequential reduce, like everything above. *)
-  Tir_obs.Trace.instant "gen.commit"
-    ~args:
-      [
-        ("gen", string_of_int t.gen);
-        ("proposed", string_of_int tl.g_proposed);
-        ("deduped", string_of_int tl.g_deduped);
-        ("measured", string_of_int tl.g_measured);
-        ("trials", string_of_int t.stats.trials);
-        ("best_us", Printf.sprintf "%h" best_us);
-      ];
-  Tir_obs.Trace.counter "search.trials" (float_of_int t.stats.trials);
-  if Float.is_finite best_us then Tir_obs.Trace.counter "search.best_us" best_us;
+     Metrics.set m_memo_rate (float_of_int hits /. float_of_int probes));
+  (* Trace the generation: one [search.pair] per measured candidate in
+     measurement order, then the deterministic [gen.commit] instant
+     carrying the tallies (and this batch's rank correlation), plus
+     counter tracks for the Perfetto view. *)
+  if Tir_obs.Trace.is_enabled () then begin
+    let gen = string_of_int t.gen in
+    List.iteri
+      (fun slot (predicted, measured_us) ->
+        Tir_obs.Trace.instant "search.pair"
+          ~args:
+            [
+              ("gen", gen);
+              ("slot", string_of_int slot);
+              ("predicted", Printf.sprintf "%h" predicted);
+              ("measured_us", Printf.sprintf "%h" measured_us);
+            ])
+      (List.rev tl.g_pairs);
+    Tir_obs.Trace.instant "gen.commit"
+      ~args:
+        [
+          ("gen", gen);
+          ("proposed", string_of_int tl.g_proposed);
+          ("deduped", string_of_int tl.g_deduped);
+          (* analyzer rejections fold into [invalid]: the journal schema
+             predates the semantic analyzer *)
+          ("invalid", string_of_int (tl.g_invalid + tl.g_unsound));
+          ("inapplicable", string_of_int tl.g_inapplicable);
+          ("memo_hits", string_of_int tl.g_memo_hits);
+          ("measured", string_of_int tl.g_measured);
+          ("mutations", string_of_int tl.g_mutations);
+          ("crossovers", string_of_int tl.g_crossovers);
+          ("accepted", string_of_int tl.g_accepted);
+          ("trials", string_of_int t.stats.trials);
+          ("best_us", Printf.sprintf "%h" best_us);
+          ("rank_corr", Printf.sprintf "%h" (spearman_of_pairs tl.g_pairs));
+        ];
+    Tir_obs.Trace.counter "search.trials" (float_of_int t.stats.trials);
+    if Float.is_finite best_us then Tir_obs.Trace.counter "search.best_us" best_us
+  end;
   (* Commit marker: everything this generation wrote becomes durable
-     only here. Emitted after the metrics/journal flush, before the
+     only here. Emitted after the metrics/trace flush, before the
      counter advances. *)
   (match t.checkpoint with
   | Some c -> c.on_generation ~gen:t.gen t.stats ~best_us
@@ -570,7 +543,7 @@ let finish_generation t =
   t.tally <- new_gen_tally ()
 
 let create ?(population = 32) ?(measure_batch = 16) ?(use_cost_model = true)
-    ?(evolve = true) ?model ?group ?pool ?journal ?retry ?checkpoint ?resume
+    ?(evolve = true) ?model ?group ?pool ?retry ?checkpoint ?resume
     ~seed ~target ~trials (sketches : Sketch.t list) : t =
   let pool = match pool with Some p -> p | None -> Pool.global () in
   let model = match model with Some m -> m | None -> Model.gbdt () in
@@ -584,7 +557,6 @@ let create ?(population = 32) ?(measure_batch = 16) ?(use_cost_model = true)
       use_cost_model;
       evolve;
       pool;
-      journal;
       retry;
       checkpoint;
       seed;

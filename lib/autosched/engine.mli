@@ -3,14 +3,14 @@
     The search loop as an explicit state machine: {!create} builds the
     search state, {!step} advances it by exactly one generation (proposal
     fan-out, evaluation, ranked measurement, cost-model retrain,
-    metrics/journal/checkpoint flush). One [step] is the atomic unit of
+    metrics/trace/checkpoint flush). One [step] is the atomic unit of
     work — everything a generation writes is committed before [step]
     returns, so drivers that interleave many engines on one pool
     ([Tir_service.Scheduler]) get preemption at generation boundaries for
     free, with per-tenant kill/resume bit-identity preserved.
 
-    [Evolutionary.search] is the single-engine driver; it re-exports all
-    the types below, so existing code keeps referring to
+    [Tune] drives one engine to completion. [Evolutionary] re-exports
+    all the types below, so existing code keeps referring to
     [Evolutionary.stats] etc. *)
 
 open Tir_ir
@@ -97,20 +97,29 @@ type event =
           exhausted; the (empty) generation was still committed *)
   | Done  (** trial budget already reached; no work was performed *)
 
-(** Build an engine. Same contract as [Evolutionary.search]:
-    [use_cost_model:false] ranks randomly, [evolve:false] disables
-    mutation/crossover, [model] is the learned cost model ranking each
+(** Build an engine. [use_cost_model:false] ranks randomly;
+    [evolve:false] disables mutation/crossover (pure random search) — both
+    are ablations. [model] is the learned cost model ranking each
     generation (default: a fresh [Model.gbdt ()]; pass a warm-started
     model to transfer from earlier runs) and [group] the label
     normalization group its samples are recorded under (default: the
-    target name; [Tune] passes ["target|workload"]), [pool] is the domain
+    target name; [Tune] passes ["target|workload"]). [pool] is the domain
     pool the per-generation pipeline fans out across (default: the
     process-wide [TIR_JOBS]-sized pool) and may be shared with other
-    engines, [retry] governs measurement fault retries,
-    [checkpoint]/[resume] are the WAL hooks and the rebuilt re-entry
-    state. Generation randomness derives from [(seed, gen)] only, so
-    results are bit-identical at any job count and under any interleaving
-    of engines. *)
+    engines. [retry] governs measurement fault retries and the
+    per-candidate budget; candidates that exhaust it are counted
+    [unmeasurable] and never reach the cost model, the elite set, or the
+    checkpoint log. [checkpoint]/[resume] are the WAL hooks and the
+    rebuilt re-entry state. Generation randomness derives from
+    [(seed, gen)] only, so results are bit-identical at any job count and
+    under any interleaving of engines.
+
+    Every generation bumps the [search.*] counters and the
+    [costmodel.rank_corr] gauge. When [Tir_obs.Trace] is enabled it also
+    records a [gen.commit] instant carrying the generation's tallies and
+    one [search.pair] instant per measured candidate (slot, predicted
+    score, measured latency) — the events [Tir_obs.Journal.of_trace]
+    exports. *)
 val create :
   ?population:int ->
   ?measure_batch:int ->
@@ -119,7 +128,6 @@ val create :
   ?model:Model.t ->
   ?group:string ->
   ?pool:Tir_parallel.Pool.t ->
-  ?journal:Tir_obs.Journal.sink ->
   ?retry:Tir_parallel.Retry.policy ->
   ?checkpoint:checkpoint ->
   ?resume:resume ->

@@ -183,13 +183,6 @@ let measure_cached ?(retry = Tir_parallel.Retry.default) ~key ~target f =
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-let table_stats m =
-  { hits = Memo.hits m; misses = Memo.misses m; entries = Memo.length m }
-
-(** Per-table counters for the per-generation journal gauges. *)
-let cache_breakdown () =
-  [ ("eval", table_stats eval_cache); ("measure", table_stats measure_cache) ]
-
 let cache_stats () =
   {
     hits = Memo.hits eval_cache + Memo.hits measure_cache;

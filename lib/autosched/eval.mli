@@ -70,14 +70,11 @@ val measure_cached :
 
 type cache_stats = { hits : int; misses : int; entries : int }
 
-(** Combined counters over both caches (bench reporting and the
-    cumulative [search.memo_hit_rate] gauge). *)
+(** Combined counters over both caches since the last {!clear_caches}
+    (bench reporting). The [search.memo_hit_rate] gauge reads the
+    registry's [memo.{eval,measure}.{hits,misses}] counters instead,
+    which {!clear_caches} leaves alone. *)
 val cache_stats : unit -> cache_stats
-
-(** Per-table counters, hits/misses from the memo atomics (deterministic at
-    any job count): [("eval", _); ("measure", _)]. Feeds the
-    per-generation [memo.*.hit_rate] journal gauges. *)
-val cache_breakdown : unit -> (string * cache_stats) list
 
 (** Drop every cached entry and reset the counters. *)
 val clear_caches : unit -> unit

@@ -2,18 +2,9 @@
 
     The search itself lives in {!Engine} — an explicit state machine where
     one [Engine.step] runs one generation (proposal fan-out, evaluation,
-    ranked measurement, cost-model retrain, metrics/journal/checkpoint
-    flush). This module re-exports the engine's types under their
-    historical names and provides [search], the run-to-completion driver:
-    it loops [Engine.step] until the trial budget is reached or the space
-    is exhausted.
-
-    All determinism properties are the engine's: generation randomness
-    derives from [(seed, gen)] only, pool fan-outs reduce in slot order,
-    and evaluation/measurement go through the process-wide memo in
-    [Eval] — so [TIR_JOBS=1] and [TIR_JOBS=n] return the same best
-    program, the same latencies, and the same trial statistics for a
-    fixed seed, no matter how many engines share the pool. *)
+    ranked measurement, cost-model retrain, metrics/trace/checkpoint
+    flush) — and [Tune] drives it to completion. This module re-exports
+    the engine's types and constants under their historical names. *)
 
 open Tir_ir
 
@@ -60,18 +51,3 @@ type resume = Engine.resume = {
 let measurement_overhead_us = Engine.measurement_overhead_us
 let measurement_runs = Engine.measurement_runs
 let measurement_cap_us = Engine.measurement_cap_us
-
-let search ?population ?measure_batch ?use_cost_model ?evolve ?model ?group
-    ?pool ?journal ?retry ?checkpoint ?resume ~seed ~target ~trials
-    (sketches : Sketch.t list) : result =
-  let e =
-    Engine.create ?population ?measure_batch ?use_cost_model ?evolve ?model
-      ?group ?pool ?journal ?retry ?checkpoint ?resume ~seed ~target ~trials
-      sketches
-  in
-  let rec drive () =
-    match Engine.step e with
-    | _, Engine.Stepped _ -> drive ()
-    | _, (Engine.Exhausted _ | Engine.Done) -> Engine.result e
-  in
-  drive ()

@@ -68,36 +68,17 @@ end
 let prior (features : float array) =
   (0.5 *. features.(11)) +. (0.2 *. features.(17)) -. (0.05 *. features.(4))
 
-(* --- percent escaping (same alphabet as the WAL / database) ------------- *)
+(* --- percent escaping (the WAL / database alphabet minus ',' '=') ------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '|' | '\n' | '\r' -> Printf.bprintf b "%%%02X" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape =
+  Tir_core.Percent.encode ~reserved:(function
+    | '|' | '\n' | '\r' -> true
+    | _ -> false)
 
 let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '%' then begin
-       if !i + 2 >= n then parse_fail "model: truncated escape in %S" s;
-       let hex = String.sub s (!i + 1) 2 in
-       match int_of_string_opt ("0x" ^ hex) with
-       | Some code ->
-           Buffer.add_char b (Char.chr code);
-           i := !i + 2
-       | None -> parse_fail "model: bad escape %%%s in %S" hex s
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
+  match Tir_core.Percent.decode s with
+  | Some v -> v
+  | None -> parse_fail "model: bad escape in %S" s
 
 let header_prefix = "# tensorir model v1 "
 

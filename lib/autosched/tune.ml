@@ -9,18 +9,14 @@
     interleave many runs on one shared pool, preempting at generation
     boundaries.
 
-    Each phase runs under a [Tir_obs.Span] ([tune.sketch_gen],
-    [tune.db_replay], [tune.search]), and a [journal] sink receives the
-    run's event stream: [Run_start], the per-generation events from
-    [Evolutionary.search], the spans recorded during this call, a dump of
-    the metrics registry, and [Run_end]. *)
+    Each phase runs under a [Tir_obs.Trace] span ([tune.sketch_gen],
+    [tune.db_replay], [tune.search]), and a traced run is bracketed by
+    [tune.start]/[tune.end] instants around the engine's per-generation
+    events — the stream [Tir_obs.Journal.of_trace] exports. *)
 
 module W = Tir_workloads.Workloads
 module TI = Tir_intrin.Tensor_intrin
-module Clock = Tir_obs.Clock
-module Journal = Tir_obs.Journal
-module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
+module Trace = Tir_obs.Trace
 
 type result = {
   workload : W.t;
@@ -58,34 +54,16 @@ let target_intrinsics (target : Tir_sim.Target.t) =
       | exception TI.Not_registered _ -> None)
     target.Tir_sim.Target.supported_intrinsics
 
-(* Close out a journaled run: spans recorded since [span0], a registry
-   dump, and the [Run_end] summary. *)
-let journal_finish sink ~span0 ~t0 ~(stats : Evolutionary.stats) ~best_us =
-  List.iter
-    (fun (s : Span.span) ->
-      Journal.emit sink
-        (Journal.Span
-           {
-             name = s.Span.name;
-             depth = s.Span.depth;
-             start_us = s.Span.start_us;
-             dur_us = s.Span.dur_us;
-           }))
-    (Span.since span0);
-  let snap = Metrics.snapshot () in
-  List.iter
-    (fun (name, value) -> Journal.emit sink (Journal.Counter { name; value }))
-    snap.Metrics.counters;
-  List.iter
-    (fun (name, value) -> Journal.emit sink (Journal.Gauge { name; value }))
-    snap.Metrics.gauges;
-  Journal.emit sink
-    (Journal.Run_end
-       {
-         best_us;
-         trials = stats.Evolutionary.trials;
-         wall_us = Clock.now_us () -. t0;
-       })
+(* Close out a traced run: the [tune.end] instant the journal's
+   [Run_end] comes from. *)
+let trace_end (stats : Evolutionary.stats) ~best_us =
+  if Trace.is_enabled () then
+    Trace.instant "tune.end"
+      ~args:
+        [
+          ("best_us", Printf.sprintf "%h" best_us);
+          ("trials", string_of_int stats.Evolutionary.trials);
+        ]
 
 (** Tuning configuration: one explicit record instead of a pile of
     optional arguments, so call sites that share a setup pass one value
@@ -104,7 +82,6 @@ module Config = struct
     jobs : int option;
         (** size of a private domain pool for this call; [None] shares
             the process-wide [TIR_JOBS]-sized pool *)
-    journal : Tir_obs.Journal.sink option;
     retry : Tir_parallel.Retry.policy;
         (** measurement fault retries + per-candidate budget *)
     model : Model.spec;
@@ -123,7 +100,6 @@ module Config = struct
       sketches = None;
       database = None;
       jobs = None;
-      journal = None;
       retry = Tir_parallel.Retry.default;
       model = Model.Gbdt;
     }
@@ -135,7 +111,6 @@ module Config = struct
   let with_sketches s t = { t with sketches = Some s }
   let with_database db t = { t with database = Some db }
   let with_jobs jobs t = { t with jobs = Some jobs }
-  let with_journal j t = { t with journal = Some j }
   let with_retry retry t = { t with retry }
   let with_model model t = { t with model }
 end
@@ -144,14 +119,12 @@ end
 
 type state =
   | D_engine of Engine.t  (** search in flight *)
-  | D_finished of result  (** db commit + journal close already done *)
+  | D_finished of result  (** db commit + [tune.end] already done *)
 
 type driver = {
   d_cfg : Config.t;
   d_w : W.t;
   d_target : Tir_sim.Target.t;
-  d_t0 : float;
-  d_span0 : int;
   mutable d_pool : Tir_parallel.Pool.t option;
       (** private pool owned by this driver; [None] once released or when
           the pool is shared/external *)
@@ -174,39 +147,26 @@ let release d =
       d.d_pool <- None;
       Tir_parallel.Pool.shutdown p
 
-(** Set up a tuning run without driving it: journal [Run_start], sketch
-    generation, the database-replay short-circuit, and — when the search
-    is actually needed — an [Engine.t]. [pool] overrides [cfg.jobs] with
-    an externally owned pool (the scheduler passes its shared pool and
-    keeps ownership); without it, [cfg.jobs = Some j] creates a private
-    pool that {!release} (or the last {!step}) joins. *)
+(** Set up a tuning run without driving it: the [tune.start] instant,
+    sketch generation, the database-replay short-circuit, and — when the
+    search is actually needed — an [Engine.t]. [pool] overrides [cfg.jobs]
+    with an externally owned pool (the scheduler passes its shared pool
+    and keeps ownership); without it, [cfg.jobs = Some j] creates a
+    private pool that {!release} (or the last {!step}) joins. *)
 let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
     (target : Tir_sim.Target.t) : driver =
   let { Config.seed; trials; use_cost_model; evolve; retry; _ } = cfg in
-  let t0 = Clock.now_us () in
-  let span0 = Span.count () in
-  (match cfg.Config.journal with
-  | None -> ()
-  | Some sink ->
-      let jobs =
-        match pool with
-        | Some p -> Tir_parallel.Pool.jobs p
-        | None -> (
-            match cfg.Config.jobs with
-            | Some j -> j
-            | None -> Tir_parallel.Pool.jobs (Tir_parallel.Pool.global ()))
-      in
-      Journal.emit sink
-        (Journal.Run_start
-           {
-             workload = w.W.name;
-             target = target.Tir_sim.Target.name;
-             seed;
-             trials;
-             jobs;
-           }));
+  if Trace.is_enabled () then
+    Trace.instant "tune.start"
+      ~args:
+        [
+          ("workload", w.W.name);
+          ("target", target.Tir_sim.Target.name);
+          ("seed", string_of_int seed);
+          ("trials", string_of_int trials);
+        ];
   let sketches =
-    Span.with_span "tune.sketch_gen" (fun () ->
+    Trace.with_span "tune.sketch_gen" (fun () ->
         match cfg.Config.sketches with
         | Some s -> s
         | None -> Sketch.generate target w (target_intrinsics target))
@@ -214,7 +174,7 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
   let cached =
     match cfg.Config.database with
     | Some db when resume = None ->
-        Span.with_span "tune.db_replay" (fun () ->
+        Trace.with_span "tune.db_replay" (fun () ->
             match
               Database.find db ~target_name:target.Tir_sim.Target.name
                 ~workload_name:w.W.name
@@ -230,17 +190,11 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
       stats.Evolutionary.trials <- 1;
       stats.Evolutionary.profiling_us <-
         best.Evolutionary.latency_us +. Evolutionary.measurement_overhead_us;
-      Option.iter
-        (fun sink ->
-          journal_finish sink ~span0 ~t0 ~stats
-            ~best_us:best.Evolutionary.latency_us)
-        cfg.Config.journal;
+      trace_end stats ~best_us:best.Evolutionary.latency_us;
       {
         d_cfg = cfg;
         d_w = w;
         d_target = target;
-        d_t0 = t0;
-        d_span0 = span0;
         d_pool = None;
         d_state =
           D_finished
@@ -262,35 +216,26 @@ let prepare ?checkpoint ?resume ?pool (cfg : Config.t) (w : W.t)
         Engine.create ~use_cost_model ~evolve
           ~model:(Model.of_spec cfg.Config.model)
           ~group:(target.Tir_sim.Target.name ^ "|" ^ w.W.name)
-          ?pool:engine_pool ?journal:cfg.Config.journal ~retry ?checkpoint
-          ?resume ~seed ~target ~trials sketches
+          ?pool:engine_pool ~retry ?checkpoint ?resume ~seed ~target ~trials
+          sketches
       in
       {
         d_cfg = cfg;
         d_w = w;
         d_target = target;
-        d_t0 = t0;
-        d_span0 = span0;
         d_pool = private_pool;
         d_state = D_engine engine;
       }
 
 (* Close out a run whose engine finished: commit the best schedule to the
-   database, finish the journal, join any private pool. Runs exactly once
+   database, record [tune.end], join any private pool. Runs exactly once
    per driver. *)
 let finalize d (e : Engine.t) : result =
   let { Evolutionary.best; stats } = Engine.result e in
   (match (d.d_cfg.Config.database, best) with
   | Some db, Some b -> Database.commit db d.d_target d.d_w b
   | _ -> ());
-  Option.iter
-    (fun sink ->
-      journal_finish sink ~span0:d.d_span0 ~t0:d.d_t0 ~stats
-        ~best_us:
-          (match best with
-          | Some b -> b.Evolutionary.latency_us
-          | None -> Float.nan))
-    d.d_cfg.Config.journal;
+  trace_end stats ~best_us:(Engine.best_us e);
   release d;
   let r =
     {
@@ -307,7 +252,7 @@ let finalize d (e : Engine.t) : result =
 (** Advance the run by one search generation. Returns [Finished] when the
     run is over (replayed from the database, trial budget reached, or
     space exhausted) — the first [Finished] transition commits the best
-    schedule to [cfg.database], closes the journal, and joins the
+    schedule to [cfg.database], records [tune.end], and joins the
     driver's private pool; later calls return the same result. *)
 let step d : progress =
   match d.d_state with
@@ -318,35 +263,30 @@ let step d : progress =
           Stepped { gen; trials_done; best_us; rank_corr }
       | _, (Engine.Exhausted _ | Engine.Done) -> Finished (finalize d e))
 
-(** Tune a workload under [cfg]. When [cfg.database] holds a record for
-    this (target, workload), the stored schedule is replayed instead of
-    searching — the paper's §5.2 "no search is needed for an operator
-    already tuned"; fresh results are committed back. Results are
-    bit-identical at any job count for a fixed seed.
+(** Tune a workload under [cfg]: {!prepare}, then {!step} until
+    [Finished]. When [cfg.database] holds a record for this (target,
+    workload), the stored schedule is replayed instead of searching — the
+    paper's §5.2 "no search is needed for an operator already tuned";
+    fresh results are committed back. Results are bit-identical at any
+    job count for a fixed seed.
 
-    [checkpoint]/[resume] wire the search's write-ahead hooks (see
-    [Evolutionary]); [Session] owns the on-disk log built on them. A
-    resumed call skips the database-replay short-circuit — it is
-    mid-search by definition. *)
+    [checkpoint]/[resume] wire the engine's write-ahead hooks (see
+    [Engine]); [Session] owns the on-disk log built on them. A resumed
+    call skips the database-replay short-circuit — it is mid-search by
+    definition. *)
 let run ?checkpoint ?resume (cfg : Config.t) (w : W.t)
     (target : Tir_sim.Target.t) : result =
   let d = prepare ?checkpoint ?resume cfg w target in
-  match d.d_state with
-  | D_finished r -> r
-  | D_engine e ->
-      (* Join the private pool's domains even when the search raises, or
-         the process hangs on exit waiting for them. *)
-      Fun.protect
-        ~finally:(fun () -> release d)
-        (fun () ->
-          Span.with_span "tune.search" (fun () ->
-              let rec drive () =
-                match Engine.step e with
-                | _, Engine.Stepped _ -> drive ()
-                | _, (Engine.Exhausted _ | Engine.Done) -> ()
-              in
-              drive ());
-          finalize d e)
+  (* Join the private pool's domains even when the search raises, or the
+     process hangs on exit waiting for them. *)
+  Fun.protect
+    ~finally:(fun () -> release d)
+    (fun () ->
+      Trace.with_span "tune.search" (fun () ->
+          let rec drive () =
+            match step d with Stepped _ -> drive () | Finished r -> r
+          in
+          drive ()))
 
 (** Simulated end-to-end tuning time in minutes: profiling cost plus a
     fixed per-proposal search overhead (candidate generation, cost-model

@@ -1,22 +1,26 @@
-(** Search journal: a line-oriented JSONL event stream for tuning runs.
+(** Search journal: a line-oriented JSONL export of a tuning run's trace.
 
     One event per line, each a flat JSON object with an ["ev"]
-    discriminator. The evolutionary search emits one [Generation] event per
-    round (candidates proposed / deduped / invalid, memo hits,
-    mutation-acceptance counters, best-so-far latency, the cost model's
-    running rank-correlation) plus a [Pair] event per measured candidate
-    (predicted score vs measured latency). The tuning driver brackets a run
-    with [Run_start]/[Run_end] and appends the run's spans and a metrics
-    snapshot, so the CLI [report] subcommand can render a whole run from
-    the journal file alone.
+    discriminator. The journal is not recorded on its own: {!of_trace}
+    derives it from the [Trace] stream and a [Metrics] snapshot. The
+    tuning driver brackets each run with [tune.start]/[tune.end] instants
+    ([Run_start]/[Run_end]); the search commits each generation with a
+    [gen.commit] instant ([Generation]: candidates proposed / deduped /
+    invalid, memo hits, mutation-acceptance counters, best-so-far latency,
+    the cost model's rank correlation over the generation) and one
+    [search.pair] instant per measured candidate ([Pair]: predicted score
+    vs measured latency). Spans fold into one [Span] line per distinct
+    span stack, and the registry snapshot becomes [Counter]/[Gauge] lines,
+    so the CLI [report] subcommand can render a whole run from the file
+    alone.
 
-    String fields reuse the percent-escaping convention of the trace and
-    database v2 formats: every structural or non-printable character —
-    ['%'] itself, ['"'], ['\\'], newlines, and anything outside printable
-    ASCII — is written as [%XX]. Escaped strings therefore contain no JSON
-    escapes and no quotes, which makes every line trivially parseable (and
-    injection-proof: adversarial workload names cannot forge fields or
-    extra events), while the file stays valid JSONL for external tools.
+    String fields are percent-escaped: every structural or non-printable
+    character — ['%'] itself, ['"'], ['\\'], newlines, and anything
+    outside printable ASCII — is written as [%XX]. Escaped strings
+    therefore contain no JSON escapes and no quotes, which makes every
+    line trivially parseable (and injection-proof: adversarial workload
+    names cannot forge fields or extra events), while the file stays
+    valid JSONL for external tools.
 
     Floats are emitted as [null] when non-finite (JSON has no NaN literal)
     and read back as [nan]. *)
@@ -58,43 +62,16 @@ exception Parse_error of string
 
 let parse_err fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
-(* --- percent escaping (same convention as Trace/Database v2) --- *)
+(* --- percent escaping: JSON-structural and non-printable bytes --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '%' | '"' | '\\' -> Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-      | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
-          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape =
+  Tir_core.Percent.encode ~reserved:(fun c ->
+      c = '"' || c = '\\' || Char.code c < 0x20 || Char.code c >= 0x7f)
 
 let unescape s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> parse_err "bad escape in journal string"
-  in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '%' then begin
-      if !i + 2 >= n then parse_err "truncated escape in journal string";
-      Buffer.add_char b (Char.chr ((hex s.[!i + 1] * 16) + hex s.[!i + 2]));
-      i := !i + 3
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
+  match Tir_core.Percent.decode s with
+  | Some v -> v
+  | None -> parse_err "bad escape in journal string"
 
 (* --- emission --- *)
 
@@ -237,25 +214,27 @@ let fields_of_line line :
   if !pos <> n then parse_err "journal line: trailing garbage in %S" line;
   List.rev !fields
 
-let of_line line : event =
-  let fields = fields_of_line line in
+(* The event named by field ["ev"]; [src] (the line, or the trace
+   instant) names the input in errors. A number field also reads as a
+   string field (its raw token). *)
+let of_fields ~src fields : event =
   let str k =
     match List.assoc_opt k fields with
-    | Some (`Str s) -> s
-    | _ -> parse_err "journal event missing string field %S in %S" k line
+    | Some (`Str s | `Num (_, s)) -> s
+    | None -> parse_err "journal event missing string field %S in %S" k src
   in
   let flt k =
     match List.assoc_opt k fields with
     | Some (`Num (v, _)) -> v
-    | _ -> parse_err "journal event missing number field %S in %S" k line
+    | _ -> parse_err "journal event missing number field %S in %S" k src
   in
   let int k =
     match List.assoc_opt k fields with
     | Some (`Num (_, raw)) -> (
         match int_of_string_opt raw with
         | Some i -> i
-        | None -> parse_err "journal event field %S is not an integer in %S" k line)
-    | _ -> parse_err "journal event missing number field %S in %S" k line
+        | None -> parse_err "journal event field %S is not an integer in %S" k src)
+    | _ -> parse_err "journal event missing number field %S in %S" k src
   in
   match str "ev" with
   | "run_start" ->
@@ -299,35 +278,7 @@ let of_line line : event =
       Run_end { best_us = flt "best_us"; trials = int "trials"; wall_us = flt "wall_us" }
   | ev -> parse_err "unknown journal event %S" ev
 
-(* --- sinks --- *)
-
-type sink = { oc : out_channel; lock : Mutex.t; mutable closed : bool }
-
-(** Open (truncate) a journal file. *)
-let open_file path = { oc = open_out path; lock = Mutex.create (); closed = false }
-
-(** Append one event as a JSONL line (flushed, so a crash mid-run leaves a
-    parseable prefix). Thread-safe. *)
-let emit sink e =
-  Mutex.lock sink.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sink.lock)
-    (fun () ->
-      if not sink.closed then begin
-        output_string sink.oc (to_line e);
-        output_char sink.oc '\n';
-        flush sink.oc
-      end)
-
-let close sink =
-  Mutex.lock sink.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sink.lock)
-    (fun () ->
-      if not sink.closed then begin
-        sink.closed <- true;
-        close_out sink.oc
-      end)
+let of_line line = of_fields ~src:line (fields_of_line line)
 
 (** Parse a journal file (blank lines skipped). Raises [Parse_error]. *)
 let load path =
@@ -343,6 +294,99 @@ let load path =
          done
        with End_of_file -> ());
       List.rev !events)
+
+(* --- export from the trace --- *)
+
+(* The run instants carry their journal event's fields as args (ints in
+   decimal, floats in [%h], so the export is exact); [extra] adds the
+   fields the trace holds elsewhere. *)
+let of_instant (e : Trace.event) ev extra =
+  let typed v = match float_of_string_opt v with Some f -> `Num (f, v) | None -> `Str v in
+  of_fields ~src:e.Trace.e_name
+    (List.map (fun (k, v) -> (k, typed v)) ((("ev", ev) :: extra) @ e.Trace.e_args))
+
+let int_arg (e : Trace.event) k =
+  match Option.bind (List.assoc_opt k e.Trace.e_args) int_of_string_opt with
+  | Some i -> i
+  | None -> parse_err "trace instant %s lacks integer arg %S" e.Trace.e_name k
+
+(* Run events, keyed (run, gen, slot). A run is opened by its
+   [tune.start] instant, per tenant (the scheduler interleaves tenants
+   on one trace), in recording order — never in timestamp order, because
+   consecutive instants can share a µs timestamp. Events recorded before
+   their tenant's first [tune.start] form run -1. *)
+let run_events ~jobs (evs : Trace.event list) =
+  let open_runs = Hashtbl.create 4 in
+  let runs = ref 0 in
+  List.filter_map
+    (fun (e : Trace.event) ->
+      let tenant = e.Trace.e_ctx.Trace.tenant in
+      let run, t0 =
+        Option.value ~default:(-1, e.Trace.e_ts_us) (Hashtbl.find_opt open_runs tenant)
+      in
+      match (e.Trace.e_kind, e.Trace.e_name) with
+      | Trace.Instant, "tune.start" ->
+          let run = !runs in
+          incr runs;
+          Hashtbl.replace open_runs tenant (run, e.Trace.e_ts_us);
+          Some
+            ((run, min_int, 0), of_instant e "run_start" [ ("jobs", string_of_int jobs) ])
+      | Trace.Instant, "search.pair" ->
+          Some ((run, int_arg e "gen", int_arg e "slot"), of_instant e "pair" [])
+      | Trace.Instant, "gen.commit" ->
+          Some ((run, int_arg e "gen", max_int), of_instant e "generation" [])
+      | Trace.Instant, "tune.end" ->
+          let wall_us = Printf.sprintf "%h" (e.Trace.e_ts_us -. t0) in
+          Some ((run, max_int, 0), of_instant e "run_end" [ ("wall_us", wall_us) ])
+      | _ -> None)
+    (List.sort (fun a b -> Int.compare a.Trace.e_seq b.Trace.e_seq) evs)
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+(* One line per distinct span stack (outermost first): earliest start,
+   total duration. Sorting by stack puts parents before children. *)
+let span_events (evs : Trace.event list) =
+  let stacks = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Trace.event) ->
+      if e.Trace.e_kind = Trace.Span then
+        let start, dur =
+          Option.value ~default:(e.Trace.e_ts_us, 0.0)
+            (Hashtbl.find_opt stacks e.Trace.e_stack)
+        in
+        Hashtbl.replace stacks e.Trace.e_stack
+          (Float.min start e.Trace.e_ts_us, dur +. e.Trace.e_dur_us))
+    evs;
+  Hashtbl.fold (fun stack v acc -> (stack, v) :: acc) stacks []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (stack, (start_us, dur_us)) ->
+         Span
+           {
+             name = List.nth stack (List.length stack - 1);
+             depth = List.length stack - 1;
+             start_us;
+             dur_us;
+           })
+
+let of_trace ~jobs () =
+  let dropped = (Trace.counts ()).Trace.dropped in
+  if dropped > 0 then
+    Error
+      (Tir_core.Error.errorf ~context:"trace" Tir_core.Error.Corrupt
+         "the trace dropped %d events past its capacity; the journal would be \
+          incomplete"
+         dropped)
+  else
+    let evs = Trace.events () in
+    match run_events ~jobs evs with
+    | exception Parse_error msg ->
+        Error (Tir_core.Error.make ~context:"trace" Tir_core.Error.Parse msg)
+    | runs ->
+        let snap = Metrics.snapshot () in
+        Ok
+          (runs @ span_events evs
+          @ List.map (fun (name, value) -> Counter { name; value }) snap.Metrics.counters
+          @ List.map (fun (name, value) -> Gauge { name; value }) snap.Metrics.gauges)
 
 (* --- summary --- *)
 

@@ -1,4 +1,5 @@
-(** Search journal: line-oriented JSONL event stream for tuning runs.
+(** Search journal: a line-oriented JSONL export of tuning runs from the
+    [Trace] stream.
 
     One flat JSON object per line with an ["ev"] discriminator. String
     fields are percent-escaped (the trace/database v2 convention), so
@@ -6,10 +7,10 @@
     with a trivial scanner while staying valid JSON. Non-finite floats are
     written as [null] and read back as [nan].
 
-    Deterministic-search contract: [Generation], [Pair], [Counter],
-    [Run_start], and [Run_end] events are bit-identical across job counts
-    for a fixed seed; [Span] events (durations) and time-derived [Gauge]
-    events may differ. *)
+    Deterministic-search contract: [Generation], [Pair], [Counter], and
+    [Run_start] events (bar its [jobs] field) are bit-identical across job
+    counts for a fixed seed; [Span] events (durations), time-derived
+    [Gauge] events and [Run_end.wall_us] may differ. *)
 
 type event =
   | Run_start of {
@@ -52,15 +53,16 @@ val to_line : event -> string
     have written. *)
 val of_line : string -> event
 
-type sink
-
-(** Open (truncate) a journal file. *)
-val open_file : string -> sink
-
-(** Append one event, flushed; thread-safe; no-op after [close]. *)
-val emit : sink -> event -> unit
-
-val close : sink -> unit
+(** Export the runs recorded in [Trace.events ()], followed by one [Span]
+    per distinct span stack (earliest start, total duration) and the
+    [Metrics.snapshot ()] as [Counter]/[Gauge] events. Each run is
+    [Run_start], then per generation its [Pair]s in slot order and its
+    [Generation], then [Run_end] (absent when the run stopped early).
+    Runs are ordered by recording order, events within a run by
+    generation and slot — never by timestamp. [jobs] fills
+    [Run_start.jobs] (the pool size is not part of the trace). Returns a
+    [Corrupt] error when the trace dropped events past its capacity. *)
+val of_trace : jobs:int -> unit -> (event list, Tir_core.Error.t) result
 
 (** Parse a journal file (blank lines skipped). Raises [Parse_error]. *)
 val load : string -> event list

@@ -4,12 +4,13 @@
 
    Determinism contract (mirrors Metrics): an event's *identity* is its
    kind, name, context, args and counter value. Timestamps, durations,
-   self-time, the recording domain (track) and the enclosing span stack
-   are placement- and time-derived views — they vary run to run and
-   between job counts (a task that runs inline at TIR_JOBS=1 runs on a
-   worker domain at TIR_JOBS=4), so they are excluded from identity. A
-   deterministic workload records a bit-identical multiset of identities
-   at any TIR_JOBS; [identities ()] returns it sorted for comparison.
+   self-time, the recording domain (track), the enclosing span stack and
+   the recording sequence number are placement- and time-derived views —
+   they vary run to run and between job counts (a task that runs inline
+   at TIR_JOBS=1 runs on a worker domain at TIR_JOBS=4), so they are
+   excluded from identity. A deterministic workload records a
+   bit-identical multiset of identities at any TIR_JOBS; [identities ()]
+   returns it sorted for comparison.
 
    Recording is off by default and near-free when disabled (one atomic
    load per site). Context propagation is dynamically scoped via
@@ -42,6 +43,7 @@ type event = {
   e_self_us : float;  (* Span only; not identity *)
   e_track : int;  (* recording domain; not identity *)
   e_stack : string list;  (* enclosing spans, outermost first; not identity *)
+  e_seq : int;  (* recording order across all domains; not identity *)
 }
 
 (* --- enable / capacity --- *)
@@ -100,13 +102,19 @@ let with_ctx ?tenant ?job ?session ?generation ?candidate f =
 
 (* --- recording --- *)
 
-let push e =
+let push e_kind e_name ?(args = []) ?(value = 0.0) ?(dur = 0.0) ?(self = 0.0)
+    ~ts e_stack =
   let n = Atomic.fetch_and_add recorded 1 in
   if n >= Atomic.get capacity then begin
     Atomic.incr dropped;
     Metrics.incr m_dropped
   end
   else begin
+    let e =
+      { e_kind; e_name; e_ctx = ambient (); e_args = args; e_value = value;
+        e_ts_us = ts; e_dur_us = dur; e_self_us = self;
+        e_track = (Domain.self () :> int); e_stack; e_seq = n }
+    in
     let s = shards.(shard_index ()) in
     Mutex.lock s.lock;
     s.events <- e :: s.events;
@@ -116,41 +124,17 @@ let push e =
 let stack_names () =
   List.rev_map (fun f -> f.f_name) (Domain.DLS.get stack_key)
 
-let instant ?(args = []) name =
+let instant ?args name =
   if is_enabled () then
-    push
-      {
-        e_kind = Instant;
-        e_name = name;
-        e_ctx = ambient ();
-        e_args = args;
-        e_value = 0.0;
-        e_ts_us = Clock.now_us ();
-        e_dur_us = 0.0;
-        e_self_us = 0.0;
-        e_track = (Domain.self () :> int);
-        e_stack = stack_names () @ [ name ];
-      }
+    push Instant name ?args ~ts:(Clock.now_us ()) (stack_names () @ [ name ])
 
 let counter name value =
   (* Non-finite samples are dropped rather than recorded: the Chrome
      export has no representation for them and validation rejects null. *)
   if is_enabled () && Float.is_finite value then
-    push
-      {
-        e_kind = Counter;
-        e_name = name;
-        e_ctx = ambient ();
-        e_args = [];
-        e_value = value;
-        e_ts_us = Clock.now_us ();
-        e_dur_us = 0.0;
-        e_self_us = 0.0;
-        e_track = (Domain.self () :> int);
-        e_stack = [];
-      }
+    push Counter name ~value ~ts:(Clock.now_us ()) []
 
-let with_span ?(args = []) name f =
+let with_span ?args name f =
   if not (is_enabled ()) then f ()
   else begin
     let start = Clock.now_us () in
@@ -164,19 +148,10 @@ let with_span ?(args = []) name f =
         (match outer with
         | parent :: _ -> parent.f_child_us <- parent.f_child_us +. dur
         | [] -> ());
-        push
-          {
-            e_kind = Span;
-            e_name = name;
-            e_ctx = ambient ();
-            e_args = args;
-            e_value = 0.0;
-            e_ts_us = start;
-            e_dur_us = dur;
-            e_self_us = Float.max 0.0 (dur -. frame.f_child_us);
-            e_track = (Domain.self () :> int);
-            e_stack = List.rev_map (fun fr -> fr.f_name) outer @ [ name ];
-          })
+        push Span name ?args ~dur
+          ~self:(Float.max 0.0 (dur -. frame.f_child_us))
+          ~ts:start
+          (List.rev_map (fun fr -> fr.f_name) outer @ [ name ]))
       f
   end
 

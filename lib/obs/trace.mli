@@ -5,8 +5,9 @@
 
     Determinism contract: an event's {e identity} is its kind, name,
     context, args, and counter value. Timestamps, durations, self-times,
-    the recording domain (track) and the enclosing span stack are time-
-    and placement-derived and excluded — a deterministic workload records
+    the recording domain (track), the enclosing span stack and the
+    recording sequence number are time- and placement-derived and
+    excluded — a deterministic workload records
     a bit-identical multiset of identities at any [TIR_JOBS].
     Recording is disabled by default; every site is one atomic load when
     off. *)
@@ -70,7 +71,10 @@ type event = {
   e_dur_us : float;
   e_self_us : float;
   e_track : int;
-  e_stack : string list;
+  e_stack : string list;  (** enclosing spans, outermost first *)
+  e_seq : int;
+      (** recording order across all domains: events one domain records
+          in sequence get increasing [e_seq] *)
 }
 
 (** All recorded events in a stable total order: timestamp, then

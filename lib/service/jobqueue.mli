@@ -95,6 +95,10 @@ val result_file : string -> string -> string
 val error_file : string -> string -> string
 val db_file : string -> string
 
+(** Publish [content] at [path] atomically: write [path ^ ".tmp"], then
+    rename. Raises [Tir_core.Error.Error] ([Io]) when the write fails. *)
+val write_file_atomic : string -> string -> unit
+
 (** The shared cost-model store maintained next to {!db_file}. *)
 val model_file : string -> string
 

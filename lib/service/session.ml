@@ -8,7 +8,6 @@ module Model = Tir_autosched.Model
 module Database = Tir_autosched.Database
 module Error = Tir_core.Error
 module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
 module Trace = Tir_sched.Trace
 
 let m_resumes = Metrics.counter "session.resumes"
@@ -413,8 +412,8 @@ let compact_parsed ~path (p : parsed) =
 
 let compact ~path = compact_parsed ~path (parse ~path)
 
-let resume ?workload ?jobs ?journal ?database ?retry ~path () =
-  Span.with_span "session.resume" (fun () ->
+let resume ?workload ?jobs ?database ?retry ~path () =
+  Tir_obs.Trace.with_span "session.resume" (fun () ->
       Metrics.incr m_resumes;
       let p = parse ~path in
       let w =
@@ -447,7 +446,6 @@ let resume ?workload ?jobs ?journal ?database ?retry ~path () =
           evolve = p.p_evolve;
           model = p.p_model;
           jobs;
-          journal;
           database;
           retry = Option.value retry ~default:Tune.Config.default.Tune.Config.retry;
         }
@@ -612,7 +610,7 @@ let run ?halt_after t : Tune.result =
       let halt_after =
         match halt_after with Some h -> Some h | None -> env_halt_after ()
       in
-      Span.with_span "session.run" (fun () ->
+      Tir_obs.Trace.with_span "session.run" (fun () ->
           let st = start t in
           let rec drive () =
             match step st with

@@ -60,7 +60,7 @@ val create : ?force:bool -> path:string -> Tune.Config.t -> W.t -> Tir_sim.Targe
     budget and search flags come from the [meta] record; [workload]
     must be passed explicitly for non-default shapes (the default
     reconstruction goes through [W.by_tag] and is verified against the
-    stored name). [jobs]/[journal]/[database]/[retry] re-attach the
+    stored name). [jobs]/[database]/[retry] re-attach the
     non-serializable configuration. Discards uncommitted records and
     compacts the log atomically before reopening it for append.
 
@@ -69,7 +69,6 @@ val create : ?force:bool -> path:string -> Tune.Config.t -> W.t -> Tir_sim.Targe
 val resume :
   ?workload:W.t ->
   ?jobs:int ->
-  ?journal:Tir_obs.Journal.sink ->
   ?database:Tir_autosched.Database.t ->
   ?retry:Tir_parallel.Retry.policy ->
   path:string ->

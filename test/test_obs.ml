@@ -1,10 +1,11 @@
-(* Observability subsystem: metrics registry, monotone clock, spans,
-   rank correlation, the search journal, and the determinism contract
-   (identical journal/counter content at jobs=1 and jobs=4). *)
+(* Observability subsystem: metrics registry, monotone clock, trace
+   spans, rank correlation, the search journal exported from the trace,
+   and the determinism contract (identical journal/counter content at
+   jobs=1 and jobs=4). *)
 
 module Clock = Tir_obs.Clock
 module Metrics = Tir_obs.Metrics
-module Span = Tir_obs.Span
+module Trace = Tir_obs.Trace
 module Stat = Tir_obs.Stat
 module Journal = Tir_obs.Journal
 module W = Tir_workloads.Workloads
@@ -69,31 +70,43 @@ let test_reset_keeps_handles () =
 
 (* --- spans --- *)
 
+(* Record into a fresh trace; leave tracing off for the rest of the suite. *)
+let traced f =
+  Trace.enable ();
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    f
+
+let spans () = List.filter (fun e -> e.Trace.e_kind = Trace.Span) (Trace.events ())
+
 let test_span_nesting () =
-  let n0 = Span.count () in
+  traced @@ fun () ->
   let v =
-    Span.with_span "outer" (fun () ->
-        Span.with_span "inner" (fun () -> 42))
+    Trace.with_span "outer" (fun () ->
+        Trace.with_span "inner" (fun () -> 42))
   in
   Alcotest.(check int) "value returned" 42 v;
-  match Span.since n0 with
+  match List.sort (fun a b -> compare a.Trace.e_stack b.Trace.e_stack) (spans ()) with
   | [ outer; inner ] ->
-      Alcotest.(check string) "flame order: outer first" "outer" outer.Span.name;
-      Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-      Alcotest.(check string) "inner second" "inner" inner.Span.name;
-      Alcotest.(check int) "inner depth" 1 inner.Span.depth;
+      Alcotest.(check (list string)) "outer stack" [ "outer" ] outer.Trace.e_stack;
+      Alcotest.(check (list string)) "inner nests in outer" [ "outer"; "inner" ]
+        inner.Trace.e_stack;
       Alcotest.(check bool) "durations non-negative" true
-        (outer.Span.dur_us >= 0.0 && inner.Span.dur_us >= 0.0);
+        (outer.Trace.e_dur_us >= 0.0 && inner.Trace.e_dur_us >= 0.0);
       Alcotest.(check bool) "inner within outer" true
-        (inner.Span.dur_us <= outer.Span.dur_us)
+        (inner.Trace.e_dur_us <= outer.Trace.e_dur_us)
   | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
 let test_span_recorded_on_raise () =
-  let n0 = Span.count () in
-  (try Span.with_span "raising" (fun () -> failwith "boom")
+  traced @@ fun () ->
+  (try Trace.with_span "raising" (fun () -> failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check int) "span recorded despite raise" 1
-    (List.length (Span.since n0))
+  Alcotest.(check (list (list string))) "span recorded despite raise"
+    [ [ "raising" ] ]
+    (List.map (fun e -> e.Trace.e_stack) (spans ()))
 
 (* --- rank correlation --- *)
 
@@ -162,6 +175,23 @@ let test_journal_roundtrip () =
         line)
     roundtrip_events
 
+(* The shared percent codec: each format's alphabet, byte for byte, and
+   strict decoding. *)
+let test_percent_codec () =
+  let module P = Tir_core.Percent in
+  Alcotest.(check string) "database alphabet" "a%25%7Cb%2C%3D%0A%0Dc"
+    (Tir_autosched.Database.escape "a%|b,=\n\rc");
+  Alcotest.(check string) "journal alphabet"
+    {|{"ev":"counter","name":"%22%5C%25%01%7F|,=","value":1}|}
+    (Journal.to_line (Journal.Counter { name = "\"\\%\x01\x7f|,="; value = 1 }));
+  let plain = "no reserved bytes" in
+  Alcotest.(check bool) "unescaped input returned as is" true
+    (P.encode ~reserved:(fun _ -> false) plain == plain);
+  Alcotest.(check (option string)) "lower-case hex" (Some "J") (P.decode "%4a");
+  List.iter
+    (fun bad -> Alcotest.(check (option string)) bad None (P.decode bad))
+    [ "%"; "%4"; "ab%4"; "%zz"; "%_1" ]
+
 let test_journal_nan_null () =
   let line = Journal.to_line (Journal.Run_end { best_us = Float.nan; trials = 1; wall_us = 2.0 }) in
   Alcotest.(check bool) "nan written as null" true
@@ -189,9 +219,6 @@ let test_journal_rejects_garbage () =
 
 let test_journal_file_and_summary () =
   let path = Filename.temp_file "tir_journal" ".jsonl" in
-  let sink = Journal.open_file path in
-  Journal.emit sink
-    (Journal.Run_start { workload = "w"; target = "t"; seed = 1; trials = 4; jobs = 2 });
   let gen_ev gen best_us =
     Journal.Generation
       {
@@ -209,11 +236,17 @@ let test_journal_file_and_summary () =
         rank_corr = 0.5;
       }
   in
-  Journal.emit sink (gen_ev 0 100.0);
-  Journal.emit sink (gen_ev 1 80.0);
-  Journal.emit sink (Journal.Run_end { best_us = 80.0; trials = 4; wall_us = 1.0 });
-  Journal.close sink;
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun e -> output_string oc (Journal.to_line e ^ "\n\n"))
+        [
+          Journal.Run_start { workload = "w"; target = "t"; seed = 1; trials = 4; jobs = 2 };
+          gen_ev 0 100.0;
+          gen_ev 1 80.0;
+          Journal.Run_end { best_us = 80.0; trials = 4; wall_us = 1.0 };
+        ]);
   let events = Journal.load path in
+  Alcotest.(check int) "blank lines skipped" 4 (List.length events);
   let s = Journal.summarize events in
   Alcotest.(check int) "runs" 1 s.Journal.runs;
   Alcotest.(check int) "generations" 2 s.Journal.generations;
@@ -299,16 +332,13 @@ let deterministic_lines path =
 let test_journal_determinism_across_jobs () =
   let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
   let run jobs =
-    (* fresh process-wide state so neither run coasts on the other *)
+    (* fresh process-wide state so neither run coasts on the other (the
+       analysis memo too: its counters are in the journal) *)
     Tir_autosched.Eval.clear_caches ();
+    Tir_analysis.Analysis.clear_cache ();
     Metrics.reset ();
     let path = Filename.temp_file (Printf.sprintf "tir_jobs%d" jobs) ".jsonl" in
-    let sink = Journal.open_file path in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Journal.close sink)
-        (fun () -> Util.tune ~seed:7 ~trials:24 ~jobs ~journal:sink gpu w)
-    in
+    let r = Util.tune ~seed:7 ~trials:24 ~jobs ~journal:path gpu w in
     let counters = (Metrics.snapshot ()).Metrics.counters in
     (path, r, counters)
   in
@@ -334,6 +364,61 @@ let test_journal_determinism_across_jobs () =
   in
   check_file p1 r1;
   check_file p4 r4
+
+(* Two traced runs in one trace: each exports as Run_start, then per
+   generation its pairs in slot order before its Generation, then
+   Run_end; spans fold to one line per distinct stack. *)
+let test_journal_export_order () =
+  let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
+  traced @@ fun () ->
+  let r1 = Util.tune ~seed:3 ~trials:8 gpu w in
+  let r2 = Util.tune ~seed:5 ~trials:8 gpu w in
+  let events =
+    match Journal.of_trace ~jobs:2 () with
+    | Ok evs -> evs
+    | Error e -> Alcotest.failf "export: %s" (Tir_core.Error.to_string e)
+  in
+  let rec runs acc = function
+    | Journal.Run_start { seed; jobs; _ } :: rest ->
+        Alcotest.(check int) "jobs filled in" 2 jobs;
+        let rec body gen slot = function
+          | Journal.Pair p :: rest ->
+              Alcotest.(check int) "pair in its generation" gen p.gen;
+              body gen (slot + 1) rest
+          | Journal.Generation g :: rest ->
+              Alcotest.(check int) "generations ascend" gen g.gen;
+              Alcotest.(check int) "one pair per measured candidate" g.measured slot;
+              body (gen + 1) 0 rest
+          | Journal.Run_end { trials; _ } :: rest -> runs ((seed, trials) :: acc) rest
+          | _ -> Alcotest.fail "run not closed by Run_end"
+        in
+        body 0 0 rest
+    | rest -> (List.rev acc, rest)
+  in
+  let run_summaries, rest = runs [] events in
+  Alcotest.(check (list (pair int int)))
+    "both runs, in recording order"
+    [ (3, r1.Tune.stats.Tir_autosched.Evolutionary.trials);
+      (5, r2.Tune.stats.Tir_autosched.Evolutionary.trials) ]
+    run_summaries;
+  let span_keys =
+    List.filter_map
+      (function Journal.Span { name; depth; _ } -> Some (name, depth) | _ -> None)
+      rest
+  in
+  Alcotest.(check bool) "one span line per distinct stack" true
+    (List.length span_keys < List.length (spans ())
+    && List.mem ("tune.search", 0) span_keys)
+
+let test_journal_export_fails_on_drops () =
+  traced @@ fun () ->
+  Fun.protect ~finally:(fun () -> Trace.set_capacity 1_000_000) @@ fun () ->
+  Trace.set_capacity 2;
+  List.iter (fun n -> Trace.instant n) [ "a"; "b"; "c" ];
+  match Journal.of_trace ~jobs:1 () with
+  | Ok _ -> Alcotest.fail "exported a trace that dropped events"
+  | Error e ->
+      Alcotest.(check string) "corrupt" "corrupt" (Tir_core.Error.kind_name e.Tir_core.Error.kind)
 
 let test_rank_corr_gauge_set () =
   let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
@@ -370,6 +455,29 @@ let test_memo_hit_rate_gauge_set () =
         true
         (v > 0.0 && v <= 1.0)
 
+let test_memo_hit_rate_gauge_matches_counters () =
+  (* Regression: the gauge read the memo atomics, which
+     [Eval.clear_caches] zeroes, while the registry counters it summarizes
+     kept counting — after a clear the gauge read 0.0 beside real hits. *)
+  let w = W.gmm ~in_dtype:Tir_ir.Dtype.F16 ~acc_dtype:Tir_ir.Dtype.F32 ~m:128 ~n:128 ~k:128 () in
+  Tir_autosched.Eval.clear_caches ();
+  Metrics.reset ();
+  ignore (Util.tune ~seed:3 ~trials:12 gpu w);
+  ignore (Util.tune ~seed:3 ~trials:12 gpu w);
+  Tir_autosched.Eval.clear_caches ();
+  ignore (Util.tune ~seed:5 ~trials:12 gpu w);
+  let snap = Metrics.snapshot () in
+  let counter name = Option.value ~default:0 (Metrics.find_counter snap name) in
+  let hits = counter "memo.eval.hits" + counter "memo.measure.hits" in
+  let misses = counter "memo.eval.misses" + counter "memo.measure.misses" in
+  Alcotest.(check bool) "counters saw hits" true (hits > 0);
+  match Metrics.find_gauge snap "search.memo_hit_rate" with
+  | None -> Alcotest.fail "memo-hit-rate gauge missing"
+  | Some v ->
+      Alcotest.(check (float 1e-12)) "gauge = counters' hit rate"
+        (float_of_int hits /. float_of_int (hits + misses))
+        v
+
 let suite =
   [
     Alcotest.test_case "clock: monotone" `Quick test_clock_monotone;
@@ -383,6 +491,7 @@ let suite =
     Alcotest.test_case "stat: spearman" `Quick test_spearman;
     Alcotest.test_case "journal: roundtrip adversarial" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal: nan as null" `Quick test_journal_nan_null;
+    Alcotest.test_case "percent: alphabets + strict decode" `Quick test_percent_codec;
     Alcotest.test_case "journal: rejects garbage" `Quick test_journal_rejects_garbage;
     Alcotest.test_case "journal: file + summary" `Quick test_journal_file_and_summary;
     Alcotest.test_case "tune: gflops edge cases" `Quick test_gflops_edges;
@@ -392,4 +501,10 @@ let suite =
       test_rank_corr_gauge_set;
     Alcotest.test_case "metrics: memo-hit-rate gauge after tuning" `Quick
       test_memo_hit_rate_gauge_set;
+    Alcotest.test_case "metrics: memo-hit-rate gauge = memo counters" `Quick
+      test_memo_hit_rate_gauge_matches_counters;
+    Alcotest.test_case "journal: export order + span folding" `Quick
+      test_journal_export_order;
+    Alcotest.test_case "journal: export fails on dropped events" `Quick
+      test_journal_export_fails_on_drops;
   ]

@@ -70,7 +70,9 @@ let check_valid msg (f : Primfunc.t) =
         issues
 
 (* Optional-argument wrapper over the Config-based tuning API, so tests
-   read like their call sites did before the redesign. *)
+   read like their call sites did before the redesign. [journal] traces
+   the run (from a fresh trace) and writes its [Journal.of_trace] export
+   to that path, as [tensorir tune --journal] does. *)
 let tune ?(seed = 42) ?(trials = 64) ?use_cost_model ?evolve ?sketches
     ?database ?jobs ?journal target w =
   let open Tir_autosched.Tune.Config in
@@ -82,6 +84,28 @@ let tune ?(seed = 42) ?(trials = 64) ?use_cost_model ?evolve ?sketches
     |> opt with_sketches sketches
     |> opt with_database database
     |> opt with_jobs jobs
-    |> opt with_journal journal
   in
-  Tir_autosched.Tune.run cfg w target
+  match journal with
+  | None -> Tir_autosched.Tune.run cfg w target
+  | Some path ->
+      let module Trace = Tir_obs.Trace in
+      let module Journal = Tir_obs.Journal in
+      Trace.enable ();
+      Trace.reset ();
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.disable ();
+          Trace.reset ())
+        (fun () ->
+          let r = Tir_autosched.Tune.run cfg w target in
+          let jobs =
+            Option.value jobs ~default:(Tir_parallel.Pool.default_jobs ())
+          in
+          (match Journal.of_trace ~jobs () with
+          | Ok events ->
+              Out_channel.with_open_text path (fun oc ->
+                  List.iter
+                    (fun e -> output_string oc (Journal.to_line e ^ "\n"))
+                    events)
+          | Error e -> Alcotest.failf "journal export: %s" (Tir_core.Error.to_string e));
+          r)
