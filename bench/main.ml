@@ -827,13 +827,14 @@ let hotpath_legacy_eval (tbl : (string, Tir_autosched.Eval.evaluation) Hashtbl.t
             | _ :: _ -> CM.Invalid
             | [] when Tir_analysis.Analysis.errors f <> [] -> CM.Unsound
             | [] -> (
-                match Tir_autosched.Features.extract target f with
-                | features ->
+                match Tir_sim.Machine.nest_tallies target f with
+                | tallies ->
                     CM.Evaluated
                       {
                         func = f;
                         fp = Tir_ir.Fingerprint.func f;
-                        features;
+                        features = Tir_autosched.Features.of_tallies target f tallies;
+                        tallies;
                         trace = Tir_sched.Schedule.instructions sch;
                       }
                 | exception Tir_sim.Machine.Unsupported _ -> CM.Unsupported)
@@ -883,14 +884,16 @@ let hotpath () =
   (* Three repetitions per arm, best (shortest) time kept, heap compacted
      before each: run-to-run GC state is the dominant noise source at
      this scale, and both arms get the same treatment. Each repetition
-     starts from cold caches so a rep never feeds its successor. *)
-  let best_time f =
+     starts from cold caches so a rep never feeds its successor. Each
+     repetition is a span, so a hotpath-only run still has a trace to
+     check. *)
+  let best_time arm f =
     let best = ref infinity and out = ref None in
     for _ = 1 to 3 do
       fresh_caches ();
       Gc.compact ();
       let t0 = Clock.now_us () in
-      let r = f () in
+      let r = Trace.with_span ("hotpath." ^ arm) f in
       let dt_s = Float.max 1e-9 ((Clock.now_us () -. t0) /. 1e6) in
       if dt_s < !best then best := dt_s;
       out := Some r
@@ -918,7 +921,7 @@ let hotpath () =
         let analysis_cache_was = Tir_analysis.Analysis.cache_enabled () in
         Tir_analysis.Analysis.set_cache_enabled false;
         let legacy_s, legacy =
-          best_time (fun () ->
+          best_time "legacy" (fun () ->
               let tbl = Hashtbl.create 1024 in
               List.map (hotpath_legacy_eval tbl ~target:gpu sk) stream)
         in
@@ -927,7 +930,7 @@ let hotpath () =
         Machine.set_nest_cache_enabled true;
         let sk_prefix = key_prefix ^ sk.Sk.space_id ^ "|" in
         let opt_s, opt =
-          best_time (fun () ->
+          best_time "optimized" (fun () ->
               List.map
                 (fun d ->
                   let key = sk_prefix ^ Space.canonical_key sk.Sk.knobs d in

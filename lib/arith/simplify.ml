@@ -24,32 +24,69 @@ let bound ctx e = Bound.of_expr_map ctx.ranges e
    an addition, subtraction, or multiplication by a constant. *)
 type linear = { const : int; terms : (Expr.t * int) list }
 
-let rec atom_key (e : Expr.t) =
-  (* Deterministic ordering key: structural string. Small expressions only
-     reach here, so the cost is negligible. *)
-  match e with
-  | Expr.Var v -> Printf.sprintf "v%08d" v.Var.id
-  | _ -> Expr.to_string e
+(* Canonical atom order: atoms sort by a text key, then by variable id.
+   A variable's key is "v" and its id zero-padded to eight digits; an id
+   of 10^8 or more, which no longer fits, keys as "v99999999" followed by
+   '\x7f', above every printable character, and such variables tie on the
+   key and sort by id. Any other atom's key is its printed form. Keys are
+   read character by character up to the first difference, never built.
+   Below 10^8 this is the order of the padded keys as text; above it ids
+   stay numeric where longer padded keys would sort as text. Atoms whose
+   keys are equal are one term. *)
+let compare_chars next_a next_b =
+  let rec go () =
+    let a = next_a () and b = next_b () in
+    if a <> b then Int.compare a b else if a < 0 then 0 else go ()
+  in
+  go ()
 
-and add_term atom coeff terms =
-  if coeff = 0 then terms
+let printed e =
+  let c = Expr.Printed.cursor e in
+  fun () -> Expr.Printed.next c
+
+let key_digits = 8
+let past_key = 0x7f
+
+(* The characters of a variable's key, then -1. *)
+let var_key (v : Var.t) =
+  let id = min v.Var.id 99_999_999 and wide = v.Var.id > 99_999_999 in
+  (* position in the key: 0 is "v", then the digits, then [past_key] *)
+  let pos = ref 0 and place = ref 10_000_000 in
+  fun () ->
+    let i = !pos in
+    incr pos;
+    if i = 0 then Char.code 'v'
+    else if i <= key_digits then begin
+      let d = id / !place mod 10 in
+      place := !place / 10;
+      Char.code '0' + d
+    end
+    else if i = key_digits + 1 && wide then past_key
+    else -1
+
+let compare_atom (a : Expr.t) (b : Expr.t) =
+  if a == b then 0
   else
-    let key = atom_key atom in
-    let rec go = function
-      | [] -> [ (atom, coeff) ]
-      | (a, c) :: rest ->
-          let k = atom_key a in
-          if String.equal k key then if c + coeff = 0 then rest else (a, c + coeff) :: rest
-          else if String.compare key k < 0 then (atom, coeff) :: (a, c) :: rest
-          else (a, c) :: go rest
-    in
-    go terms
+    match (a, b) with
+    | Expr.Var x, Expr.Var y -> Var.compare x y
+    | Expr.Var x, _ -> compare_chars (var_key x) (printed b)
+    | _, Expr.Var y -> compare_chars (printed a) (var_key y)
+    | _ -> compare_chars (printed a) (printed b)
 
+(* Both term lists are sorted and free of zero coefficients; on equal
+   atoms the sum keeps [a]'s atom. *)
 let lin_add a b =
-  {
-    const = a.const + b.const;
-    terms = List.fold_left (fun acc (at, c) -> add_term at c acc) a.terms b.terms;
-  }
+  let rec merge xs ys =
+    match (xs, ys) with
+    | _, [] -> xs
+    | [], _ -> ys
+    | ((x, c) as t) :: xs', ((y, d) as u) :: ys' ->
+        let s = compare_atom y x in
+        if s = 0 then if c + d = 0 then merge xs' ys' else (x, c + d) :: merge xs' ys'
+        else if s < 0 then u :: merge xs ys'
+        else t :: merge xs' ys
+  in
+  { const = a.const + b.const; terms = merge a.terms b.terms }
 
 let lin_scale k a =
   if k = 0 then { const = 0; terms = [] }

@@ -17,6 +17,14 @@ val bound : ctx -> Expr.t -> Bound.interval option
 (** Linear form: [const + sum of atom*coeff], atoms sorted canonically. *)
 type linear = { const : int; terms : (Expr.t * int) list }
 
+(** The canonical order of linear-form atoms, and the identity of terms
+    (atoms comparing equal merge): by a text key, then by variable id. A
+    variable's key is ["v"] and its id zero-padded to eight digits, or
+    ["v99999999\x7f"] once the id reaches 10^8; any other atom's key is
+    its printed form. The keys are compared without being built. Two
+    variables therefore compare by id. *)
+val compare_atom : Expr.t -> Expr.t -> int
+
 val to_linear : Expr.t -> linear
 val of_linear : linear -> Expr.t
 

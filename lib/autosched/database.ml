@@ -294,7 +294,7 @@ let replay_from_trace (target : Tir_sim.Target.t) (w : W.t) (r : record) :
                     Eval.cache_prefix target ^ "prog#"
                     ^ Sketch.workload_digest func
                   in
-                  match snd (Eval.measure_cached ~key ~target func) with
+                  match snd (Eval.measure_cached ~key ~target (Eval.Func func)) with
                   | Eval.Unsupported_target | Eval.Unmeasurable -> None
                   | Eval.Measured latency_us ->
                       Some
@@ -333,12 +333,12 @@ let replay_from_sketch (target : Tir_sim.Target.t) (sketches : Sketch.t list)
       | Eval.Inapplicable | Eval.Invalid | Eval.Unsound
       | Eval.Unsupported ->
           None
-      | Eval.Evaluated { func; fp; trace; _ } -> (
+      | Eval.Evaluated { func; fp; tallies; trace; _ } -> (
           let key =
             Eval.cache_prefix target ^ "prog#"
             ^ Tir_ir.Fingerprint.to_hex fp
           in
-          match snd (Eval.measure_cached ~key ~target func) with
+          match snd (Eval.measure_cached ~key ~target (Eval.Tallies tallies)) with
           | Eval.Unsupported_target | Eval.Unmeasurable -> None
           | Eval.Measured latency_us ->
               Some

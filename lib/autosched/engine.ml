@@ -363,8 +363,8 @@ let propose_all t specs =
              g.g_unsound <- g.g_unsound + 1;
              []
          | Eval.Unsupported -> []
-         | Eval.Evaluated { func; fp; features; trace } ->
-             [ (sk, d, key, origin, func, fp, features, trace) ])
+         | Eval.Evaluated { func; fp; features; tallies; trace } ->
+             [ (sk, d, key, origin, func, fp, features, tallies, trace) ])
        fresh evals)
 
 (* Measure a ranked batch across the pool (memoized), then feed the cost
@@ -382,36 +382,36 @@ let measure_top t scored =
   let g = t.tally in
   let keyed =
     List.map
-      (fun ((_, (_, _, _, _, _, fp, _, _)) as sc) ->
+      (fun ((_, (_, _, _, _, _, fp, _, _, _)) as sc) ->
         (t.key_prefix ^ "prog#" ^ Tir_ir.Fingerprint.to_hex fp, sc))
       scored
   in
   let distinct_tbl = Hashtbl.create 16 in
   let distinct =
     List.filter_map
-      (fun (key, (_, (_, _, _, _, func, _, _, _))) ->
+      (fun (key, (_, (_, _, _, _, _, _, _, tallies, _))) ->
         if Hashtbl.mem distinct_tbl key then None
         else begin
           Hashtbl.add distinct_tbl key ();
-          Some (key, func)
+          Some (key, tallies)
         end)
       keyed
   in
   let probes =
     Pool.parallel_map_list t.pool
-      (fun (key, func) ->
+      (fun (key, tallies) ->
         (* the program fingerprint is the candidate identity on the trace *)
         Tir_obs.Trace.with_ctx ~candidate:key (fun () ->
             Tir_obs.Trace.with_span "measure" (fun () ->
                 Eval.measure_cached ?retry:t.retry ~key ~target:t.target
-                  func)))
+                  (Eval.Tallies tallies))))
       distinct
   in
   let by_key = Hashtbl.create 16 in
   List.iter2 (fun (key, _) r -> Hashtbl.replace by_key key r) distinct probes;
   let seen_in_batch = Hashtbl.create 16 in
   List.iter
-    (fun (key, (score, ((sk : Sketch.t), _, _, origin, func, _, features, trace)))
+    (fun (key, (score, ((sk : Sketch.t), _, _, origin, func, _, features, _, trace)))
          ->
       let hit, outcome =
         if Hashtbl.mem seen_in_batch key then
@@ -640,7 +640,7 @@ let step t =
             Array.to_list
               (Model.score_batch t.model
                  (Array.of_list
-                    (List.map (fun (_, _, _, _, _, _, f, _) -> f) cands)))
+                    (List.map (fun (_, _, _, _, _, _, f, _, _) -> f) cands)))
           else List.map (fun _ -> Rng.float rng 1.0) cands
         in
         let ranked =

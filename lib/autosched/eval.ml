@@ -31,10 +31,19 @@ type evaluation =
               component of measurement memo keys, shared between search
               and database replay *)
       features : float array;
+      tallies : Tir_sim.Machine.tally list;
+          (** the machine-model tally of each root-level nest of [func],
+              which [features] were computed from and measurement prices *)
       trace : Tir_sched.Trace.t;
           (** the schedule's instruction trace — carried to [measured]
               results and into database records for sketch-free replay *)
     }
+
+(** What a measurement prices. *)
+type source =
+  | Tallies of Tir_sim.Machine.tally list
+      (** the per-nest tallies an [Evaluated] candidate carries *)
+  | Func of Tir_ir.Primfunc.t  (** a program without them: walked *)
 
 (** Outcome of one (memoized) machine-model measurement. *)
 type measurement =
@@ -75,6 +84,20 @@ let cache_prefix target = Tir_sim.Target.fingerprint target ^ "|"
    count is bit-identical at any TIR_JOBS. *)
 let m_pruned_static = Tir_obs.Metrics.counter "search.pruned_static"
 
+(* Feature extraction, keeping the per-nest tallies it drew from. *)
+let evaluated ~target sch f =
+  match Tir_sim.Machine.nest_tallies target f with
+  | tallies ->
+      Evaluated
+        {
+          func = f;
+          fp = Tir_ir.Fingerprint.func f;
+          features = Features.of_tallies target f tallies;
+          tallies;
+          trace = Tir_sched.Schedule.instructions sch;
+        }
+  | exception Tir_sim.Machine.Unsupported _ -> Unsupported
+
 (* [Space.Unknown_knob] deliberately propagates: the search only builds
    decision vectors from the sketch's own knob list, so an unknown knob is
    a programming error, not an invalid sample. *)
@@ -101,17 +124,7 @@ let evaluate ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
                 Unsound
             | Tir_analysis.Legality.Legal | Tir_analysis.Legality.Unknown -> (
                 if Tir_analysis.Analysis.errors f <> [] then Unsound
-                else
-                  match Features.extract target f with
-                  | features ->
-                      Evaluated
-                        {
-                          func = f;
-                          fp = Tir_ir.Fingerprint.func f;
-                          features;
-                          trace = Tir_sched.Schedule.instructions sch;
-                        }
-                  | exception Tir_sim.Machine.Unsupported _ -> Unsupported)))
+                else evaluated ~target sch f)))
 
 (** The pre-refactor pipeline, byte for byte: no knob pre-filter —
     every candidate runs the full
@@ -126,17 +139,7 @@ let evaluate_naive ~target (sk : Sketch.t) (d : Space.decisions) : evaluation =
       match Tir_sched.Validate.check_func f with
       | _ :: _ -> Invalid
       | [] when Tir_analysis.Analysis.errors f <> [] -> Unsound
-      | [] -> (
-          match Features.extract target f with
-          | features ->
-              Evaluated
-                {
-                  func = f;
-                  fp = Tir_ir.Fingerprint.func f;
-                  features;
-                  trace = Tir_sched.Schedule.instructions sch;
-                }
-          | exception Tir_sim.Machine.Unsupported _ -> Unsupported))
+      | [] -> evaluated ~target sch f)
 
 (** Memoized evaluation; returns [(cache_hit, outcome)]. *)
 let evaluate_cached ~key ~target sk d =
@@ -163,17 +166,20 @@ let classify policy latency_us =
     for a later run with different fault configuration. A candidate whose
     simulated latency exceeds [retry.timeout_us] is deterministically
     [Unmeasurable] (that outcome {e is} cached — the simulator is pure). *)
-let measure_cached ?(retry = Tir_parallel.Retry.default) ~key ~target f =
+let measure_cached ?(retry = Tir_parallel.Retry.default) ~key ~target source =
+  let measure ?fault_key () =
+    match source with
+    | Tallies ts -> Tir_sim.Machine.measure_tallies ?fault_key target ts
+    | Func f -> Tir_sim.Machine.measure_us ?fault_key target f
+  in
   match
     Memo.find_or_add measure_cache key (fun () ->
         match
           if Tir_core.Fault.enabled Tir_core.Fault.Measure then
             Tir_parallel.Retry.with_retries ~policy:retry ~site:"measure" ~key
               (fun ~attempt ->
-                Tir_sim.Machine.measure_us
-                  ~fault_key:(Printf.sprintf "%s@%d" key attempt)
-                  target f)
-          else Tir_sim.Machine.measure_us target f
+                measure ~fault_key:(Printf.sprintf "%s@%d" key attempt) ())
+          else measure ()
         with
         | latency_us -> classify retry latency_us
         | exception Tir_sim.Machine.Unsupported _ -> Unsupported_target)

@@ -21,6 +21,9 @@ type evaluation =
               component of measurement memo keys, shared between search
               and database replay *)
       features : float array;
+      tallies : Tir_sim.Machine.tally list;
+          (** the machine-model tally of each root-level nest of [func],
+              which [features] were computed from and measurement prices *)
       trace : Tir_sched.Trace.t;
           (** the schedule's instruction trace — carried to [measured]
               results and into database records for sketch-free replay *)
@@ -48,6 +51,15 @@ val evaluate_cached :
   key:string -> target:Tir_sim.Target.t -> Sketch.t -> Space.decisions ->
   bool * evaluation
 
+(** What a measurement prices. *)
+type source =
+  | Tallies of Tir_sim.Machine.tally list
+      (** the per-nest tallies an [Evaluated] candidate carries: priced
+          without a walk ([Tir_sim.Machine.measure_tallies]) *)
+  | Func of Tir_ir.Primfunc.t
+      (** a program without them (database replay from a trace): walked
+          ([Tir_sim.Machine.measure_us]) *)
+
 (** Outcome of one (memoized) machine-model measurement. *)
 type measurement =
   | Measured of float  (** latency in microseconds *)
@@ -65,7 +77,7 @@ val measure_cached :
   ?retry:Tir_parallel.Retry.policy ->
   key:string ->
   target:Tir_sim.Target.t ->
-  Tir_ir.Primfunc.t ->
+  source ->
   bool * measurement
 
 type cache_stats = { hits : int; misses : int; entries : int }

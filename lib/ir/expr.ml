@@ -352,39 +352,90 @@ let cmpop_symbol = function
   | Gt -> ">"
   | Ge -> ">="
 
-(* Precedence-aware printing keeps index expressions readable in dumps. *)
-let rec pp_prec prec ppf e =
-  let paren p body = if prec > p then Fmt.pf ppf "(%t)" body else body ppf in
-  match e with
-  | Int i -> Fmt.int ppf i
-  | Float (f, dt) ->
-      if Dtype.equal dt Dtype.F32 then Fmt.pf ppf "%g" f
-      else Fmt.pf ppf "%s(%g)" (Dtype.to_string dt) f
-  | Bool b -> Fmt.bool ppf b
-  | Var v -> Var.pp ppf v
-  | Bin ((Min | Max) as op, a, b) ->
-      Fmt.pf ppf "%s(%a, %a)" (binop_symbol op) (pp_prec 0) a (pp_prec 0) b
-  | Bin (op, a, b) ->
-      let p = match op with Add | Sub -> 4 | _ -> 5 in
-      paren p (fun ppf ->
-          Fmt.pf ppf "%a %s %a" (pp_prec p) a (binop_symbol op) (pp_prec (p + 1)) b)
-  | Cmp (op, a, b) ->
-      paren 3 (fun ppf ->
-          Fmt.pf ppf "%a %s %a" (pp_prec 4) a (cmpop_symbol op) (pp_prec 4) b)
-  | And (a, b) ->
-      paren 2 (fun ppf -> Fmt.pf ppf "%a and %a" (pp_prec 2) a (pp_prec 3) b)
-  | Or (a, b) ->
-      paren 1 (fun ppf -> Fmt.pf ppf "%a or %a" (pp_prec 1) a (pp_prec 2) b)
-  | Not a -> paren 6 (fun ppf -> Fmt.pf ppf "not %a" (pp_prec 6) a)
-  | Select (c, a, b) ->
-      Fmt.pf ppf "select(%a, %a, %a)" (pp_prec 0) c (pp_prec 0) a (pp_prec 0) b
-  | Cast (dt, a) -> Fmt.pf ppf "%s(%a)" (Dtype.to_string dt) (pp_prec 0) a
-  | Load (buf, idx) ->
-      Fmt.pf ppf "%a[%a]" Buffer.pp buf Fmt.(list ~sep:(any ", ") (pp_prec 0)) idx
-  | Call (name, _, args) ->
-      Fmt.pf ppf "%s(%a)" name Fmt.(list ~sep:(any ", ") (pp_prec 0)) args
-  | Ptr (buf, idx) ->
-      Fmt.pf ppf "&%a[%a]" Buffer.pp buf Fmt.(list ~sep:(any ", ") (pp_prec 0)) idx
+(* Precedence-aware printing keeps index expressions readable in dumps.
+   The printed form is produced as a stream of fragments: literal text, or
+   a sub-expression at the precedence it is printed under, expanded only
+   when the reader gets to it. [pp] and [to_string] write every fragment;
+   a [Printed] cursor reads the text one character at a time, so a
+   comparison that stops early never prints the rest. *)
+module Printed = struct
+  type frag = Text of string | At of int * t
 
-let pp = pp_prec 0
-let to_string e = Fmt.str "%a" pp e
+  let rec args es rest =
+    match es with
+    | [] -> rest
+    | [ e ] -> At (0, e) :: rest
+    | e :: es -> At (0, e) :: Text ", " :: args es rest
+
+  (* The fragments that print [e] at precedence [prec], followed by [rest]. *)
+  let expand prec e rest =
+    let paren p body = if prec > p then Text "(" :: body (Text ")" :: rest) else body rest in
+    match e with
+    | Int i -> Text (string_of_int i) :: rest
+    | Float (f, dt) ->
+        let g = Printf.sprintf "%g" f in
+        if Dtype.equal dt Dtype.F32 then Text g :: rest
+        else Text (Dtype.to_string dt) :: Text "(" :: Text g :: Text ")" :: rest
+    | Bool b -> Text (string_of_bool b) :: rest
+    | Var v -> Text v.Var.name :: rest
+    | Bin ((Min | Max) as op, a, b) ->
+        Text (binop_symbol op) :: Text "(" :: At (0, a) :: Text ", " :: At (0, b)
+        :: Text ")" :: rest
+    | Bin (op, a, b) ->
+        let p = match op with Add | Sub -> 4 | _ -> 5 in
+        paren p (fun rest ->
+            At (p, a) :: Text " " :: Text (binop_symbol op) :: Text " " :: At (p + 1, b) :: rest)
+    | Cmp (op, a, b) ->
+        paren 3 (fun rest ->
+            At (4, a) :: Text " " :: Text (cmpop_symbol op) :: Text " " :: At (4, b) :: rest)
+    | And (a, b) -> paren 2 (fun rest -> At (2, a) :: Text " and " :: At (3, b) :: rest)
+    | Or (a, b) -> paren 1 (fun rest -> At (1, a) :: Text " or " :: At (2, b) :: rest)
+    | Not a -> paren 6 (fun rest -> Text "not " :: At (6, a) :: rest)
+    | Select (c, a, b) ->
+        Text "select(" :: At (0, c) :: Text ", " :: At (0, a) :: Text ", " :: At (0, b)
+        :: Text ")" :: rest
+    | Cast (dt, a) -> Text (Dtype.to_string dt) :: Text "(" :: At (0, a) :: Text ")" :: rest
+    | Load (buf, idx) -> Text buf.Buffer.name :: Text "[" :: args idx (Text "]" :: rest)
+    | Call (name, _, es) -> Text name :: Text "(" :: args es (Text ")" :: rest)
+    | Ptr (buf, idx) ->
+        Text "&" :: Text buf.Buffer.name :: Text "[" :: args idx (Text "]" :: rest)
+
+  let iter f e =
+    let rec go = function
+      | [] -> ()
+      | Text s :: rest ->
+          f s;
+          go rest
+      | At (prec, e) :: rest -> go (expand prec e rest)
+    in
+    go [ At (0, e) ]
+
+  type cursor = { mutable text : string; mutable pos : int; mutable todo : frag list }
+
+  let cursor e = { text = ""; pos = 0; todo = [ At (0, e) ] }
+
+  let rec next c =
+    if c.pos < String.length c.text then begin
+      let ch = String.unsafe_get c.text c.pos in
+      c.pos <- c.pos + 1;
+      Char.code ch
+    end
+    else
+      match c.todo with
+      | [] -> -1
+      | Text s :: rest ->
+          c.text <- s;
+          c.pos <- 0;
+          c.todo <- rest;
+          next c
+      | At (prec, e) :: rest ->
+          c.todo <- expand prec e rest;
+          next c
+end
+
+let pp ppf e = Printed.iter (Format.pp_print_string ppf) e
+
+let to_string e =
+  let out = Stdlib.Buffer.create 32 in
+  Printed.iter (Stdlib.Buffer.add_string out) e;
+  Stdlib.Buffer.contents out

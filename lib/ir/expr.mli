@@ -128,3 +128,15 @@ val cmpop_symbol : cmpop -> string
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** [to_string]'s characters, produced on demand by the same printer:
+    reading a prefix of the printed form costs only that prefix, and
+    nothing is buffered. *)
+module Printed : sig
+  type cursor
+
+  val cursor : t -> cursor
+
+  (** The next character's code, or [-1] once the text is exhausted. *)
+  val next : cursor -> int
+end

@@ -339,9 +339,10 @@ let tally_of_nest target (s : Stmt.t) =
    fingerprint walk is a single cheap traversal against the tally walk's
    per-access stride analysis (simplifier + bound queries per load/store).
    Per-domain (no locks); entries are treated as immutable after
-   insertion. [measure_us] deliberately does NOT use this cache: it feeds
-   the [sim.*] registry counters per nest walked, and skipping walks would
-   make those totals depend on cache state. *)
+   insertion. [measure_us] walks without it. The [sim.*] registry
+   counters are fed per nest priced, never per nest walked, so pricing
+   cache-served tallies ([measure_tallies]) leaves them independent of
+   cache state. *)
 module FpTbl = Hashtbl.Make (struct
   type t = int64
 
@@ -441,8 +442,8 @@ let nest_latency_us target (t : tally) =
    every measured program. Integer-valued (bytes rounded per measurement),
    so the totals are order-independent and bit-identical at any job count
    even though measurements run on pool domains — and they are only bumped
-   inside [measure_us], which the tuner reaches through the measurement
-   memo, so a deterministic search executes the same set of simulations
+   when a program is priced ([measure_us], [measure_tallies]), which the
+   tuner reaches through the measurement memo, so a deterministic search executes the same set of simulations
    regardless of parallelism. [sim.bytes.*] per scope is the data the
    paper's "data movement dominates" claim is made from. *)
 let m_measurements = Tir_obs.Metrics.counter "sim.measurements"
@@ -476,6 +477,26 @@ let record_tally (t : tally) =
   Tir_obs.Metrics.observe h_bytes_shared t.bytes_shared;
   Tir_obs.Metrics.observe h_bytes_local t.bytes_local
 
+let root_nests (f : Primfunc.t) =
+  match (Primfunc.root_block f).Stmt.body with Stmt.Seq ss -> ss | s -> [ s ]
+
+(* Prices the nests in order, taking each one's tally from [tally_of].
+   The fault check comes before any counter is touched. The counters are
+   fed nest by nest, so a walk that raises [Unsupported] midway has
+   already counted the measurement and the nests before the failing one. *)
+let measure_nests ?fault_key target tally_of nests =
+  (match fault_key with
+  | Some key -> Tir_core.Fault.maybe_fail Tir_core.Fault.Measure ~key
+  | None -> ());
+  Tir_obs.Metrics.incr m_measurements;
+  Tir_obs.Metrics.add m_nests (List.length nests);
+  List.fold_left
+    (fun acc nest ->
+      let t = tally_of nest in
+      record_tally t;
+      acc +. nest_latency_us target t)
+    0.0 nests
+
 (** Measured latency of a whole function, in microseconds. Root-level nests
     execute sequentially (separate kernels on GPU). Raises [Unsupported] if
     the program tensorizes with an intrinsic the target lacks. Each call
@@ -489,33 +510,21 @@ let record_tally (t : tally) =
     measurement leaves no partial state behind. Retrying callers vary the
     key per attempt. *)
 let measure_us ?fault_key target (f : Primfunc.t) =
-  (match fault_key with
-  | Some key -> Tir_core.Fault.maybe_fail Tir_core.Fault.Measure ~key
-  | None -> ());
-  let root = Primfunc.root_block f in
-  let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
-  Tir_obs.Metrics.incr m_measurements;
-  Tir_obs.Metrics.add m_nests (List.length nests);
-  List.fold_left
-    (fun acc nest ->
-      let t = tally_of_nest target nest in
-      record_tally t;
-      acc +. nest_latency_us target t)
-    0.0 nests
+  measure_nests ?fault_key target (tally_of_nest target) (root_nests f)
+
+let measure_tallies ?fault_key target tallies =
+  measure_nests ?fault_key target Fun.id tallies
+
+let nest_tallies target (f : Primfunc.t) =
+  List.map (tally_of_nest_cached target) (root_nests f)
 
 (** Aggregate tally for the whole function (feature extraction): work and
     traffic sum across root-level nests; parallelism shape takes the
-    maximum (nests are separate kernels, not multiplied). Per-nest results
-    come from the physical-identity cache, so candidates that share
-    unchanged stages with other schedules in the population only re-walk
-    the nests their decisions actually touched. *)
-let tally_func target (f : Primfunc.t) =
-  let root = Primfunc.root_block f in
-  let nests = match root.Stmt.body with Stmt.Seq ss -> ss | s -> [ s ] in
+    maximum (nests are separate kernels, not multiplied). *)
+let sum_tallies tallies =
   let acc = new_tally () in
   List.iter
-    (fun nest ->
-      let t = tally_of_nest_cached target nest in
+    (fun t ->
       acc.scalar_ops <- acc.scalar_ops +. t.scalar_ops;
       acc.special_ops <- acc.special_ops +. t.special_ops;
       acc.tensor_flops <- acc.tensor_flops +. t.tensor_flops;
@@ -531,5 +540,5 @@ let tally_func target (f : Primfunc.t) =
       acc.vectorized_frac <- Float.max acc.vectorized_frac t.vectorized_frac;
       acc.uses_tensor_core <- acc.uses_tensor_core || t.uses_tensor_core;
       acc.pipelined <- acc.pipelined || t.pipelined)
-    nests;
+    tallies;
   acc

@@ -54,14 +54,22 @@ val nest_latency_us : Target.t -> tally -> float
     attempt. *)
 val measure_us : ?fault_key:string -> Target.t -> Primfunc.t -> float
 
+(** [measure_us] for a program whose per-nest tallies are already known
+    (a candidate carries the ones its feature extraction computed):
+    bit-identical latency and [sim.*] counter updates, the same
+    [fault_key] check first, and no walk. *)
+val measure_tallies : ?fault_key:string -> Target.t -> tally list -> float
+
+(** The tally of each root-level nest, in order. Served from a
+    per-domain cache keyed by the nest's structural fingerprint —
+    candidate programs share unchanged stages with the rest of the
+    population and only re-walk the nests their decisions touched.
+    Raises [Unsupported] like [measure_us]. *)
+val nest_tallies : Target.t -> Primfunc.t -> tally list
+
 (** Whole-function tally for feature extraction: work sums across nests,
-    parallelism takes the maximum. Per-nest tallies are served from a
-    per-domain cache keyed by the nest statement's physical identity —
-    schedule transforms path-copy, so candidate programs share unchanged
-    stages with the rest of the population and only re-walk the nests
-    their decisions touched. ([measure_us] does not use the cache: it
-    feeds the [sim.*] counters per nest walked.) *)
-val tally_func : Target.t -> Primfunc.t -> tally
+    parallelism takes the maximum. *)
+val sum_tallies : tally list -> tally
 
 (** Cumulative (process-wide) hits/misses of the per-nest tally cache. *)
 val nest_cache_stats : unit -> int * int

@@ -200,6 +200,184 @@ let test_covers () =
   Alcotest.(check bool) "covers" true (Region.covers [ (0, 63) ] [ (8, 15) ]);
   Alcotest.(check bool) "not covers" false (Region.covers [ (0, 31) ] [ (8, 63) ])
 
+(* --- canonical atom order ------------------------------------------------ *)
+
+let sign x = compare x 0
+
+(* Every sub-expression that [to_linear] would keep as an atom. *)
+let atoms_of es =
+  let acc = ref [] in
+  List.iter
+    (Expr.iter (fun e ->
+         match e with
+         | Expr.Int _ -> ()
+         | Expr.Bin ((Expr.Add | Expr.Sub), _, _)
+         | Expr.Bin (Expr.Mul, _, Expr.Int _)
+         | Expr.Bin (Expr.Mul, Expr.Int _, _) ->
+             ()
+         | e when Dtype.equal (Expr.dtype e) Dtype.Int -> acc := e :: !acc
+         | _ -> ()))
+    es;
+  List.rev !acc
+
+(* One atom per distinct printed key, keeping at most [cap]. *)
+let distinct_atoms ~cap atoms =
+  let seen = Hashtbl.create 256 in
+  List.filteri
+    (fun _ a ->
+      let k = Simplify_reference.atom_key a in
+      if Hashtbl.length seen >= cap || Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    atoms
+
+let check_order_pairs label atoms =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let want =
+            sign
+              (String.compare (Simplify_reference.atom_key a) (Simplify_reference.atom_key b))
+          in
+          let got = sign (Simplify.compare_atom a b) in
+          if want <> got then
+            Alcotest.failf "%s: compare_atom %a %a = %d, printed keys give %d" label Expr.pp
+              a Expr.pp b got want)
+        atoms)
+    atoms
+
+let check_same_linear label e =
+  let want = Simplify_reference.to_linear e and got = Simplify.to_linear e in
+  let same_terms =
+    List.length want.terms = List.length got.terms
+    && List.for_all2 (fun (a, c) (b, d) -> a == b && c = d) want.terms got.terms
+  in
+  if want.const <> got.const || not same_terms then
+    Alcotest.failf "%s: to_linear %a differs from the string-keyed reference (%a vs %a)"
+      label Expr.pp e Expr.pp (Simplify.of_linear got) Expr.pp
+      (Simplify.of_linear want)
+
+let candidate_exprs () =
+  List.concat_map
+    (fun (_, _, e) ->
+      match e with
+      | Tir_autosched.Eval.Evaluated { func; _ } ->
+          let acc = ref [] in
+          Stmt.iter_exprs (fun e -> acc := e :: !acc) func.Primfunc.body;
+          List.rev !acc
+      | _ -> [])
+    (Order_sample.candidates ())
+
+let test_order_candidates () =
+  let es = candidate_exprs () in
+  check_order_pairs "candidates" (distinct_atoms ~cap:400 (atoms_of es));
+  List.iter
+    (fun e ->
+      Expr.iter
+        (fun e ->
+          if Dtype.equal (Expr.dtype e) Dtype.Int then check_same_linear "candidates" e)
+        e)
+    es
+
+let test_order_random () =
+  let _, es = Order_sample.random_exprs ~seed:3 400 in
+  check_order_pairs "random" (distinct_atoms ~cap:400 (atoms_of es));
+  List.iter (check_same_linear "random") es
+
+(* [Var.counter] is process-wide, so a long-lived process passes id 10^8.
+   Padded to eight digits, "v99999999" sorted after "v100000000"; ids
+   compare as numbers, so a late expression orders its terms as the same
+   expression built in a fresh process does. *)
+let test_order_large_ids () =
+  let mk id name = { Var.id; name; dtype = Dtype.Int } in
+  let a = mk 99_999_999 "a" and b = mk 100_000_000 "b" and c = mk 7 "c" in
+  let lt x y = Simplify.compare_atom (Expr.Var x) (Expr.Var y) < 0 in
+  Alcotest.(check bool) "99999999 < 100000000" true (lt a b);
+  Alcotest.(check bool) "100000000 > 99999999" false (lt b a);
+  Alcotest.(check bool) "7 < 100000000" true (lt c b);
+  let late = Expr.Bin (Expr.Add, Expr.Var b, Expr.mul (Expr.Var a) (Expr.Int 4)) in
+  let fresh =
+    let a' = mk 5 "a" and b' = mk 6 "b" in
+    Expr.Bin (Expr.Add, Expr.Var b', Expr.mul (Expr.Var a') (Expr.Int 4))
+  in
+  Alcotest.(check string)
+    "late ids order as fresh ones"
+    (Expr.to_string (Simplify.simplify Simplify.empty_ctx fresh))
+    (Expr.to_string (Simplify.simplify Simplify.empty_ctx late));
+  Alcotest.(check string)
+    "a * 4 + b" "a * 4 + b"
+    (Expr.to_string (Simplify.simplify Simplify.empty_ctx late))
+
+(* Past 10^8 the order must stay total, also against non-variable atoms
+   whose printed form starts like a padded key: a variable that no longer
+   fits the key sorts after every "v99999999..." text, and sums must
+   cancel and group the same whichever way they are associated. *)
+let test_order_large_ids_total () =
+  let mk id name = Expr.Var { Var.id; name; dtype = Dtype.Int } in
+  let small = mk 99_999_999 "y" and wide = mk 100_000_005 "x" and wider = mk 100_000_000 "w" in
+  (* prints "v1_ // 4" and "v99999999 % 3" *)
+  let split = Expr.Bin (Expr.Div, mk 3 "v1_", Expr.Int 4) in
+  let near = Expr.Bin (Expr.Mod, mk 100_000_001 "v99999999", Expr.Int 3) in
+  let atoms = [ split; small; wide; wider; near; mk 7 "c" ] in
+  let cmp = Simplify.compare_atom in
+  let expected = [ mk 7 "c"; split; small; near; wider; wide ] in
+  Alcotest.(check (list string))
+    "order" (List.map Expr.to_string expected)
+    (List.map Expr.to_string (List.sort cmp atoms));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if sign (cmp a b) <> -sign (cmp b a) then
+            Alcotest.failf "compare_atom %a %a is not antisymmetric" Expr.pp a Expr.pp b;
+          List.iter
+            (fun c ->
+              if cmp a b <= 0 && cmp b c <= 0 && cmp a c > 0 then
+                Alcotest.failf "compare_atom is not transitive on %a, %a, %a" Expr.pp a
+                  Expr.pp b Expr.pp c)
+            atoms)
+        atoms)
+    atoms;
+  let ( + ) a b = Expr.Bin (Expr.Add, a, b) and ( - ) a b = Expr.Bin (Expr.Sub, a, b) in
+  let terms e =
+    List.map (fun (a, c) -> Printf.sprintf "%s*%d" (Expr.to_string a) c) (Simplify.to_linear e).terms
+  in
+  List.iter
+    (fun (a, b, c) ->
+      let name = Fmt.str "%a, %a, %a" Expr.pp a Expr.pp b Expr.pp c in
+      Alcotest.(check (list string)) (name ^ ": grouping") (terms (a + b + c)) (terms (a + (b + c)));
+      Alcotest.(check (list string)) (name ^ ": cancels") (terms (a + b)) (terms (a + (b + c) - c)))
+    [
+      (split, small, wide);
+      (split, wide, small);
+      (small, split, wide);
+      (small, wide, split);
+      (wide, split, small);
+      (wide, small, split);
+      (near, wide, small);
+      (wider, near, split);
+    ]
+
+let test_order_golden () =
+  let expected =
+    In_channel.with_open_bin "fixtures/order_golden.txt" In_channel.input_all
+  in
+  let got = Order_sample.render () in
+  if not (String.equal expected got) then begin
+    let el = String.split_on_char '\n' expected and gl = String.split_on_char '\n' got in
+    let rec first i = function
+      | x :: xs, y :: ys -> if String.equal x y then first (i + 1) (xs, ys) else (i, x, y)
+      | x :: _, [] -> (i, x, "<end>")
+      | [], y :: _ -> (i, "<end>", y)
+      | [], [] -> (i, "", "")
+    in
+    let i, x, y = first 1 (el, gl) in
+    Alcotest.failf "order sample differs from fixtures/order_golden.txt at line %d:\n  want %s\n  got  %s" i x y
+  end
+
 let suite =
   [
     ("linear normalization", `Quick, test_linear_normalize);
@@ -218,4 +396,9 @@ let suite =
       ("iter map: unused loop ok", `Quick, test_iter_map_unused_ok);
       ("relax region", `Quick, test_relax_region);
       ("hull cover", `Quick, test_covers);
+      ("atom order = printed keys (candidates)", `Quick, test_order_candidates);
+      ("atom order = printed keys (random)", `Quick, test_order_random);
+      ("atom order: ids past 10^8", `Quick, test_order_large_ids);
+      ("atom order: total past 10^8", `Quick, test_order_large_ids_total);
+      ("atom order: golden sample", `Quick, test_order_golden);
     ]

@@ -108,6 +108,86 @@ let prop_smart_constructors_preserve_eval =
       let rebuilt = Expr.map_children (fun x -> x) e in
       eval_int env e = eval_int env rebuilt)
 
+(* The printer's output on every constructor and parenthesization case,
+   built with the raw constructors so that nothing is folded away. The
+   strings were printed by the Format-based printer this one replaced; the
+   [Printed] cursor must read the same characters. *)
+let printer_cases () =
+  let open Expr in
+  let x = Var { Var.id = 1; name = "x"; dtype = Dtype.Int }
+  and y = Var { Var.id = 2; name = "y"; dtype = Dtype.Int }
+  and p = Var { Var.id = 3; name = "p"; dtype = Dtype.Bool } in
+  let b = Buffer.create "B" [ 8; 8 ] Dtype.F16 in
+  [
+    Int (-3);
+    Float (0.5, Dtype.F32);
+    Float (-1.25e7, Dtype.F16);
+    Bool true;
+    Bin (Add, Bin (Add, x, y), Bin (Add, x, y));
+    Bin (Sub, Bin (Sub, x, y), Bin (Sub, x, y));
+    Bin (Mul, Bin (Add, x, y), Bin (Mul, x, y));
+    Bin (Div, Bin (Mul, x, Int 4), Int 2);
+    Bin (Mod, Bin (Div, x, Int 4), Bin (Mod, y, Int 3));
+    Bin (Min, Bin (Add, x, y), Bin (Max, x, Int 0));
+    Cmp (Lt, Bin (Add, x, y), Int 8);
+    Cmp (Eq, Cmp (Ne, x, y), p);
+    And (And (p, p), And (p, Cmp (Ge, x, Int 0)));
+    Or (Or (p, p), Or (p, And (p, p)));
+    Not (Not (Cmp (Le, x, y)));
+    Not (Or (p, p));
+    Select (Cmp (Gt, x, y), Bin (Sub, x, y), Int 0);
+    Cast (Dtype.F32, Bin (Add, x, Int 1));
+    Load (b, [ Bin (Add, x, Int 1); y ]);
+    Call ("tir.f", Dtype.Int, []);
+    Call ("tir.f", Dtype.Int, [ x; Bin (Mul, y, Int 2); Bool false ]);
+    Ptr (b, [ x; Int 0 ]);
+  ]
+
+let printer_golden =
+  [
+    "-3";
+    "0.5";
+    "float16(-1.25e+07)";
+    "true";
+    "x + y + (x + y)";
+    "x - y - (x - y)";
+    "(x + y) * (x * y)";
+    "x * 4 // 2";
+    "x // 4 % (y % 3)";
+    "min(x + y, max(x, 0))";
+    "x + y < 8";
+    "(x != y) == p";
+    "p and p and (p and x >= 0)";
+    "p or p or (p or p and p)";
+    "not not (x <= y)";
+    "not (p or p)";
+    "select(x > y, x - y, 0)";
+    "float32(x + 1)";
+    "B[x + 1, y]";
+    "tir.f()";
+    "tir.f(x, y * 2, false)";
+    "&B[x, 0]";
+  ]
+
+let drain e =
+  let c = Expr.Printed.cursor e and out = Stdlib.Buffer.create 64 in
+  let rec go () =
+    let ch = Expr.Printed.next c in
+    if ch >= 0 then begin
+      Stdlib.Buffer.add_char out (Char.chr ch);
+      go ()
+    end
+  in
+  go ();
+  (* reading past the end stays at the end *)
+  assert (Expr.Printed.next c = -1);
+  Stdlib.Buffer.contents out
+
+let test_printer_golden () =
+  let cases = printer_cases () in
+  Alcotest.(check (list string)) "to_string" printer_golden (List.map Expr.to_string cases);
+  Alcotest.(check (list string)) "printed cursor" printer_golden (List.map drain cases)
+
 let suite =
   [
     ("constant folding", `Quick, test_fold_constants);
@@ -118,4 +198,5 @@ let suite =
     ("dtype inference", `Quick, test_dtype);
     ("buffer replacement", `Quick, test_replace_buffer);
     QCheck_alcotest.to_alcotest prop_smart_constructors_preserve_eval;
+    ("printer golden", `Quick, test_printer_golden);
   ]

@@ -13,6 +13,8 @@
       included, across random mutation chains and with the apply cache
       both on and off;
     - the per-nest tally cache does not change extracted features;
+    - pricing the tallies a candidate carries equals walking its program,
+      latency bits and [sim.*] counters included;
     - evaluation is deterministic across domains (jobs=1 vs jobs=4). *)
 
 open Tir_ir
@@ -225,6 +227,71 @@ let test_parallel_evaluate_deterministic () =
       check_same_outcome (Printf.sprintf "vector %d" i) s par.(i))
     seq
 
+(* --- pricing from the carried tallies == walking the program --- *)
+
+(* [f ()] and what it added to every [sim.*] counter and histogram. *)
+let sim_delta f =
+  let sim snap =
+    ( List.filter (fun (n, _) -> String.starts_with ~prefix:"sim." n) snap.Tir_obs.Metrics.counters,
+      List.filter_map
+        (fun (n, (h : Tir_obs.Metrics.hist_snapshot)) ->
+          if String.starts_with ~prefix:"sim." n then Some (n, h.counts) else None)
+        snap.Tir_obs.Metrics.histograms )
+  in
+  let c0, h0 = sim (Tir_obs.Metrics.snapshot ()) in
+  let r = f () in
+  let c1, h1 = sim (Tir_obs.Metrics.snapshot ()) in
+  let dc = List.map2 (fun (n, a) (_, b) -> (n, b - a)) c0 c1 in
+  let dh = List.map2 (fun (n, a) (_, b) -> (n, Array.map2 ( - ) b a)) h0 h1 in
+  (r, dc, dh)
+
+let test_tallies_price_like_walk () =
+  CM.clear_caches ();
+  Machine.nest_cache_clear ();
+  let n = ref 0 in
+  List.iter
+    (fun (label, target, e) ->
+      match e with
+      | CM.Evaluated { func; tallies; _ } ->
+          incr n;
+          let carried, dc, dh = sim_delta (fun () -> Machine.measure_tallies target tallies) in
+          let walked, wc, wh = sim_delta (fun () -> Machine.measure_us target func) in
+          if Int64.bits_of_float carried <> Int64.bits_of_float walked then
+            Alcotest.failf "%s: carried tallies price %h, the walk %h" label carried walked;
+          Alcotest.(check (list (pair string int))) (label ^ ": sim counters") wc dc;
+          Alcotest.(check (list (pair string (array int)))) (label ^ ": sim histograms") wh dh;
+          (match CM.measure_cached ~key:("tallies|" ^ label) ~target (CM.Tallies tallies) with
+          | _, CM.Measured us when Int64.bits_of_float us = Int64.bits_of_float walked -> ()
+          | _ -> Alcotest.failf "%s: measure_cached from tallies differs from the walk" label)
+      | _ -> ())
+    (Order_sample.candidates ());
+  Alcotest.(check bool) "candidates sampled" true (!n > 20)
+
+(* A program tensorized with an intrinsic the target lacks: evaluation
+   says Unsupported (no tallies exist), and measuring the function still
+   says Unsupported_target. *)
+let test_unsupported_intrinsic () =
+  let arm = Tir_sim.Target.arm_sdot in
+  let sk = List.hd (sketches ()) in
+  let rng = Rng.create 5 in
+  let rec first i =
+    if i = 200 then Alcotest.fail "no evaluable tensorized vector"
+    else
+      let d = Space.random_decisions rng sk.Sk.knobs in
+      match CM.evaluate ~target:gpu sk d with
+      | CM.Evaluated { func; _ } -> (d, func)
+      | _ -> first (i + 1)
+  in
+  let d, func = first 0 in
+  Alcotest.(check string) "evaluate on arm" "unsupported"
+    (class_name (CM.evaluate ~target:arm sk d));
+  (match CM.measure_cached ~key:"unsupported|arm" ~target:arm (CM.Func func) with
+  | _, CM.Unsupported_target -> ()
+  | _ -> Alcotest.fail "measuring on arm must be Unsupported_target");
+  match Machine.measure_us arm func with
+  | exception Machine.Unsupported _ -> ()
+  | _ -> Alcotest.fail "measure_us on arm must raise Unsupported"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_intern_phys_iff_structural;
@@ -240,4 +307,8 @@ let suite =
       test_nest_cache_transparent;
     Alcotest.test_case "parallel evaluation deterministic (jobs 1 vs 4)" `Slow
       test_parallel_evaluate_deterministic;
+    Alcotest.test_case "carried tallies price like the walk" `Quick
+      test_tallies_price_like_walk;
+    Alcotest.test_case "unsupported intrinsic classification" `Quick
+      test_unsupported_intrinsic;
   ]

@@ -136,7 +136,7 @@ let test_determinism () =
 
 let test_tally_shape () =
   let f = Util.matmul ~m:32 ~n:32 ~k:32 () in
-  let t = M.tally_func gpu f in
+  let t = M.sum_tallies (M.nest_tallies gpu f) in
   (* 32^3 multiply-accumulate = 2 ops each plus loads. *)
   Alcotest.(check bool) "scalar ops counted" true (t.M.scalar_ops >= 2.0 *. 32768.0);
   Alcotest.(check bool) "global traffic counted" true (t.M.bytes_global > 0.0);
